@@ -74,6 +74,16 @@ def test_trace_generator_throughput(benchmark):
     _run(benchmark, "trace_gen")
 
 
+def test_trace_stream_throughput(benchmark):
+    """Draw 50k simulator-path records (plain triples) per round."""
+    _run(benchmark, "trace_stream")
+
+
+def test_trace_replay_throughput(benchmark):
+    """Replay 50k records of a stored stream per round."""
+    _run(benchmark, "trace_replay")
+
+
 def test_pure_cache_array_throughput(benchmark):
     """A tight fill/access loop on one cache array."""
     _run(benchmark, "cache_array")

@@ -132,7 +132,7 @@ def main() -> None:
     # peeking at the trace).
     from repro.workloads import take
     peek = take(mix.traces(base)[1], 2000)
-    hot = [r.address >> 6 for r in peek if r.kind.is_data][:32]
+    hot = [address >> 6 for _, kind, address in peek if kind.is_data][:32]
     tla = PinnedLinesTLA(hot)
     hierarchy.attach_tla(tla)
     config2 = SimConfig(

@@ -37,8 +37,8 @@ from ..project import FunctionInfo, ProjectIndex, dotted_parts
 from ..rules import Finding
 
 #: qualname suffixes registered as hot by default: the packed
-#: tag-store access closures, the burst loops, and the vectorised
-#: trace generator (see ROADMAP "vectorized epoch kernel").
+#: tag-store access closures, the burst loops, the vectorised
+#: column-chunk trace generator and the trace store's replay loop.
 DEFAULT_HOT_SUFFIXES = (
     "Cache.access",
     "Cache._make_lru_access",
@@ -46,7 +46,8 @@ DEFAULT_HOT_SUFFIXES = (
     "SimulatedCore._step_burst_plain",
     "SimulatedCore._step_burst_timer_inline",
     "SimulatedCore._step_burst_timer_plain",
-    "_mixture_trace_numpy",
+    "mixture_chunks",
+    "StoredStream.packed_chunks",
 )
 
 #: same-attribute loads per loop body that trigger HX2.

@@ -25,12 +25,13 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ..config import TLAConfig, baseline_hierarchy, variant_sim_config
+from ..config import HierarchyConfig, TLAConfig, baseline_hierarchy, variant_sim_config
 from ..cpu import CMPSimulator
 from ..perf.phase import PHASE_EXECUTE_JOB, PhaseTimer
 from ..telemetry import TelemetryConfig, write_events_jsonl
 from ..version import __version__
 from ..workloads import WorkloadMix, mix_category
+from ..workloads.store import StreamKey
 
 #: Bump when simulator behaviour changes to invalidate stale caches.
 CACHE_SCHEMA = 6
@@ -119,12 +120,29 @@ class SimJob:
         """Short human-readable identity for progress lines and logs."""
         return f"{self.mix_name}/{self.mode}/{self.tla}"
 
+    def trace_streams(self) -> List[StreamKey]:
+        """The trace streams :func:`execute_job` opens, one per core.
+
+        The in-process scheduler counts these over its pending jobs to
+        scope the trace store (:mod:`repro.workloads.store`).
+        """
+        return WorkloadMix(self.mix_name, self.apps).streams(trace_reference(self))
+
     @property
     def category(self) -> str:
         """Workload-category tag (``"CCF+LLCT"``-style, core-order
         free); journalled next to the job by the sweep manifest so
         :mod:`repro.eval` slices need no workload-name parsing."""
         return mix_category(self.apps)
+
+
+def trace_reference(job: SimJob) -> HierarchyConfig:
+    """The hierarchy a job's workload generators size against.
+
+    Always the scaled 2-core baseline, regardless of the simulated
+    variant (Table I's categories are baseline-relative).
+    """
+    return baseline_hierarchy(2, scale=job.scale)
 
 
 def job_key(job: SimJob) -> str:
@@ -192,10 +210,7 @@ def execute_job(job: SimJob) -> RunSummary:
             categories=job.trace_categories,
         )
     mix = WorkloadMix(job.mix_name, job.apps)
-    # Workload generators always size against the scaled 2-core
-    # baseline, regardless of the simulated variant (Table I's
-    # categories are baseline-relative).
-    reference = baseline_hierarchy(2, scale=job.scale)
+    reference = trace_reference(job)
     config = variant_sim_config(
         num_cores=mix.num_cores,
         mode=job.mode,

@@ -30,13 +30,14 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from collections import deque
 
-from ..errors import ExecutorConfigError, OrchestrationError
+from ..errors import ExecutorConfigError, OrchestrationError, ReproError
 from ..perf.phase import (
     PHASE_EXECUTE_JOB,
     PHASE_ORCHESTRATE,
     PHASE_POOL_WAIT,
 )
 from ..telemetry import get_logger
+from ..workloads.store import retaining
 from .cache import ResultCache
 from .job import execute_job, job_key
 from .executor import Executor, SerialExecutor, resolve_executor
@@ -211,7 +212,7 @@ class Orchestrator:
                     )
                     executor = SerialExecutor(self.execute)
                 if isinstance(executor, SerialExecutor):
-                    self._run_loop(pending, results, executor)
+                    self._run_serial(pending, results, executor)
                 else:
                     try:
                         self._run_loop(pending, results, executor)
@@ -226,7 +227,7 @@ class Orchestrator:
                             and key not in self.failures
                             and key not in self.cancelled
                         ]
-                        self._run_loop(
+                        self._run_serial(
                             remaining, results, SerialExecutor(self.execute)
                         )
         finally:
@@ -305,11 +306,37 @@ class Orchestrator:
             pool_factory=WorkerPool,
         )
 
+    def _run_serial(
+        self,
+        pending: Sequence[Tuple[str, Any]],
+        results: Dict[str, Any],
+        executor: SerialExecutor,
+    ) -> None:
+        """The scheduling loop, in-process, inside a trace-store scope.
+
+        Every trace stream the pending jobs open (jobs that declare
+        them through ``trace_streams()``) is generated once and
+        replayed to its later users; the store holds a stream only
+        until its last pending user has opened it and is empty when
+        this returns.  A retried job is announced again, so the retry
+        replays its streams from record 0 too.  Out-of-process
+        backends retain nothing: their workers run each job cold.
+        """
+        streams = (stream for _, job in pending for stream in _trace_streams(job))
+        with retaining(streams) as store:
+            self._run_loop(
+                pending,
+                results,
+                executor,
+                on_retry=lambda job: store.announce(_trace_streams(job)),
+            )
+
     def _run_loop(
         self,
         pending: Sequence[Tuple[str, Any]],
         results: Dict[str, Any],
         executor: Executor,
+        on_retry: Optional[Callable[[Any], None]] = None,
     ) -> None:
         """The backend-neutral scheduling loop.
 
@@ -392,6 +419,8 @@ class Orchestrator:
                             2 ** (attempts[key] - 1)
                         )
                         queue.append((key, job))
+                        if on_retry is not None:
+                            on_retry(job)
                 if executor.respawns > MAX_RESPAWNS:
                     raise OrchestrationError(
                         f"{executor.name} backend lost workers "
@@ -523,6 +552,18 @@ class Orchestrator:
                 workers=self._workers,
                 backend=self._backend,
             )
+
+
+def _trace_streams(job: Any) -> Sequence[Any]:
+    """The trace streams a job declares; none when it cannot resolve
+    them (executing the job then reports the error, with retries)."""
+    declared = getattr(job, "trace_streams", None)
+    if declared is None:
+        return ()
+    try:
+        return declared()
+    except ReproError:
+        return ()
 
 
 def compact_host(host: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:

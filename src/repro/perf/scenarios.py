@@ -17,6 +17,8 @@ names instead of repurposing old ones.
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
@@ -105,7 +107,7 @@ def access_loop_phases_round() -> int:
 
 
 def trace_gen_round() -> int:
-    """Generate 50k trace records (the numpy-batched path)."""
+    """Generate 50k trace records as ``TraceRecord``\\ s (the record view)."""
     from repro import baseline_hierarchy
     from repro.workloads import take
     from repro.workloads.spec import app_trace
@@ -113,6 +115,38 @@ def trace_gen_round() -> int:
     reference = baseline_hierarchy(2, scale=SCALE)
     records = take(app_trace("lib", reference=reference), TRACE_GEN_RECORDS)
     return len(records)
+
+
+def trace_stream_round() -> int:
+    """Draw 50k simulator-path records (plain triples) from a cold stream."""
+    from repro import baseline_hierarchy
+    from repro.workloads import app_stream, take
+    from repro.workloads.store import open_stream
+
+    reference = baseline_hierarchy(2, scale=SCALE)
+    records = take(open_stream(app_stream("lib", reference)), TRACE_GEN_RECORDS)
+    return len(records)
+
+
+@functools.lru_cache(maxsize=1)
+def _stored_lib_stream():
+    """``lib``'s stream with its first 50k records packed in the store."""
+    from repro import baseline_hierarchy
+    from repro.workloads import app_stream
+    from repro.workloads.store import StoredStream
+
+    stream = StoredStream(app_stream("lib", baseline_hierarchy(2, scale=SCALE)))
+    collections.deque(
+        itertools.islice(stream.replay(), TRACE_GEN_RECORDS), maxlen=0
+    )
+    return stream
+
+
+def trace_replay_round() -> int:
+    """Replay 50k records of a stream already held in the trace store."""
+    from repro.workloads import take
+
+    return len(take(_stored_lib_stream().replay(), TRACE_GEN_RECORDS))
 
 
 def cache_array_round() -> int:
@@ -201,6 +235,22 @@ SCENARIOS: Dict[str, Scenario] = {
             floor=FLOOR_TRACE_GEN,
             round_fn=trace_gen_round,
             description="batched synthetic trace generation",
+        ),
+        Scenario(
+            name="trace_stream",
+            metric="records_per_s",
+            work=TRACE_GEN_RECORDS,
+            floor=FLOOR_TRACE_GEN,
+            round_fn=trace_stream_round,
+            description="cold simulator-path trace stream (plain triples)",
+        ),
+        Scenario(
+            name="trace_replay",
+            metric="records_per_s",
+            work=TRACE_GEN_RECORDS,
+            floor=FLOOR_TRACE_GEN,
+            round_fn=trace_replay_round,
+            description="replay of a stream held in the sweep trace store",
         ),
         Scenario(
             name="cache_array",

@@ -45,6 +45,7 @@ from .spec import (
     AppProfile,
     app_names,
     app_profile,
+    app_stream,
     app_trace,
 )
 from .mixes import (
@@ -79,6 +80,7 @@ __all__ = [
     "AppProfile",
     "app_names",
     "app_profile",
+    "app_stream",
     "app_trace",
     "TABLE2_MIXES",
     "WorkloadMix",

@@ -15,8 +15,9 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..config import HierarchyConfig
 from ..errors import ConfigurationError
-from .spec import app_names, app_profile, app_trace
-from .trace import TraceRecord
+from .spec import app_names, app_profile, app_stream
+from .store import StreamKey, open_stream
+from .trace import Record
 
 
 @dataclass(frozen=True)
@@ -38,14 +39,23 @@ class WorkloadMix:
     def categories(self) -> Tuple[str, ...]:
         return tuple(app_profile(app).category for app in self.apps)
 
-    def traces(
-        self, reference: Optional[HierarchyConfig] = None
-    ) -> List[Iterator[TraceRecord]]:
-        """One infinite trace per core, in disjoint address spaces."""
+    def streams(self, reference: Optional[HierarchyConfig] = None) -> List[StreamKey]:
+        """Each core's trace-stream identity (see :mod:`.store`)."""
         return [
-            app_trace(app, reference=reference, core_id=core_id)
+            app_stream(app, reference=reference, core_id=core_id)
             for core_id, app in enumerate(self.apps)
         ]
+
+    def traces(self, reference: Optional[HierarchyConfig] = None) -> List[Iterator[Record]]:
+        """One infinite trace per core, in disjoint address spaces.
+
+        Records are plain ``(gap, kind, address)`` triples (the
+        simulator path; :func:`app_trace` gives the same records as
+        ``TraceRecord``\\ s).  Inside a :func:`.store.retaining` scope,
+        a stream the scope expects to be reopened is generated once and
+        replayed.
+        """
+        return [open_stream(key) for key in self.streams(reference)]
 
     def label(self) -> str:
         return f"{self.name}({'+'.join(self.apps)})"

@@ -24,6 +24,7 @@ from ..config import HierarchyConfig
 from ..errors import ConfigurationError
 from .categories import CATEGORY_CCF, CATEGORY_LLCF, CATEGORY_LLCT
 from .synthetic import MixtureProfile, RegionSpec, mixture_trace
+from .store import StreamKey
 from .trace import TraceRecord, core_address_offset
 
 
@@ -246,13 +247,13 @@ def app_profile(name: str) -> AppProfile:
         ) from None
 
 
-def app_trace(
+def app_stream(
     name: str,
     reference: Optional[HierarchyConfig] = None,
     core_id: int = 0,
     seed_salt: int = 1,
-) -> Iterator[TraceRecord]:
-    """Infinite trace for benchmark ``name``.
+) -> StreamKey:
+    """The generator inputs of benchmark ``name``'s trace on one core.
 
     Args:
         reference: hierarchy whose cache sizes define the working
@@ -263,13 +264,26 @@ def app_trace(
             share lines, and perturbs the seed so two copies of the
             same benchmark are not in lockstep.
         seed_salt: extra seed entropy for building disjoint mix sets.
+
+    Returns:
+        ``(mixture, seed, base_address)``: the arguments of
+        :func:`~repro.workloads.synthetic.mixture_chunks`, and so the
+        stream's identity in :mod:`repro.workloads.store`.
     """
     if reference is None:
         reference = HierarchyConfig()
-    profile = app_profile(name)
-    mixture = profile.build_mixture(reference)
-    return mixture_trace(
-        mixture,
-        seed=_seed_for(name, core_id, seed_salt),
-        base_address=core_address_offset(core_id),
+    return (
+        app_profile(name).build_mixture(reference),
+        _seed_for(name, core_id, seed_salt),
+        core_address_offset(core_id),
     )
+
+
+def app_trace(
+    name: str,
+    reference: Optional[HierarchyConfig] = None,
+    core_id: int = 0,
+    seed_salt: int = 1,
+) -> Iterator[TraceRecord]:
+    """Infinite trace for benchmark ``name`` (arguments as :func:`app_stream`)."""
+    return mixture_trace(*app_stream(name, reference, core_id, seed_salt))

@@ -1,8 +1,9 @@
 """Synthetic trace generators.
 
-The generic building block is :func:`mixture_trace`: an infinite,
-deterministic stream of :class:`~repro.workloads.trace.TraceRecord`
-built from
+The generic building block is :func:`mixture_chunks`: an infinite,
+deterministic stream of column chunks (numpy arrays of gaps, kind
+codes and addresses; :func:`mixture_trace` is the same stream as
+:class:`~repro.workloads.trace.TraceRecord`\\ s) built from
 
 * an instruction-fetch stream walking a code region (sequential with
   occasional branches), and
@@ -21,17 +22,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import repeat as _repeat
-from typing import Iterator, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Iterator, Optional, Sequence, Tuple
+
+import numpy as _np
 
 from ..access import AccessType
 from ..errors import TraceError
-from .trace import TraceRecord
+from .trace import Chunk, TraceRecord, records_from_chunks
 
-try:  # numpy accelerates batch generation ~4x; plain Python works too.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    _np = None
+#: records per generated column chunk (one batch of random draws).
+CHUNK_RECORDS = 4096
 
 #: Default byte bases keeping code, and each data region, far apart.
 CODE_BASE = 0x0000_1000_0000
@@ -127,108 +128,32 @@ def mixture_trace(
     profile: MixtureProfile,
     seed: int = 0,
     base_address: int = 0,
-    engine: str = "auto",
 ) -> Iterator[TraceRecord]:
     """Infinite deterministic trace following ``profile``.
 
     ``base_address`` shifts the whole address space (give each core a
     disjoint base via
-    :func:`repro.workloads.trace.core_address_offset`).
-
-    ``engine`` selects the generator implementation: ``"numpy"``
-    (batched, ~4x faster), ``"python"`` (stdlib only), or ``"auto"``
-    (numpy when available).  Both engines are deterministic for a
-    given seed, but their streams differ from each other.
+    :func:`repro.workloads.trace.core_address_offset`).  The records
+    are those of :func:`mixture_chunks`, as :class:`TraceRecord`\\ s.
     """
-    if engine not in ("auto", "numpy", "python"):
-        raise TraceError(f"unknown engine {engine!r}")
-    if engine == "numpy" and _np is None:
-        raise TraceError("numpy engine requested but numpy is not installed")
-    if engine in ("auto", "numpy") and _np is not None:
-        return _mixture_trace_numpy(profile, seed, base_address)
-    return _mixture_trace_python(profile, seed, base_address)
+    records = records_from_chunks(mixture_chunks(profile, seed, base_address))
+    # ``tuple.__new__`` fed by a C-level ``map`` builds each namedtuple
+    # without running bytecode (``TraceRecord._make`` costs a frame).
+    return map(tuple.__new__, repeat(TraceRecord), records)
 
 
-def _mixture_trace_python(
+def mixture_chunks(
     profile: MixtureProfile,
     seed: int,
     base_address: int,
-) -> Iterator[TraceRecord]:
-    """Reference stdlib implementation of :func:`mixture_trace`."""
-    rng = random.Random(seed)
-    line = profile.line_size
-    code_base = base_address + CODE_BASE
-    region_bases = [
-        base_address + DATA_BASE + i * REGION_STRIDE
-        for i in range(len(profile.regions))
-    ]
-    # Cumulative weights for component selection.
-    total_weight = sum(r.weight for r in profile.regions)
-    cumulative: List[float] = []
-    acc = 0.0
-    for region in profile.regions:
-        acc += region.weight / total_weight
-        cumulative.append(acc)
-    cumulative[-1] = 1.0  # guard against float drift
+) -> Iterator[Chunk]:
+    """Infinite deterministic trace following ``profile``, in column chunks.
 
-    records_per_instruction = (
-        profile.data_per_instruction + profile.ifetch_per_instruction
-    )
-    mean_gap = max(0.0, 1.0 / records_per_instruction - 1.0)
-    exp_mean = _exponential_mean_for_floored(mean_gap)
-    p_ifetch = profile.ifetch_per_instruction / records_per_instruction
-
-    code_cursor = 0
-    stream_cursors = [0] * len(profile.regions)
-    burst_address = 0
-    burst_left = 0
-
-    while True:
-        gap = int(rng.expovariate(1.0 / exp_mean)) if exp_mean > 0 else 0
-        if rng.random() < p_ifetch:
-            if rng.random() < profile.branch_probability:
-                code_cursor = rng.randrange(profile.code_lines)
-            address = code_base + code_cursor * line
-            code_cursor = (code_cursor + 1) % profile.code_lines
-            yield TraceRecord(gap, AccessType.IFETCH, address)
-            continue
-        if burst_left > 0:
-            burst_left -= 1
-            address = burst_address
-        else:
-            pick = rng.random()
-            index = 0
-            while cumulative[index] < pick:
-                index += 1
-            region = profile.regions[index]
-            if region.sequential:
-                offset = stream_cursors[index]
-                stream_cursors[index] = (offset + 1) % region.lines
-            else:
-                offset = rng.randrange(region.lines)
-            address = region_bases[index] + offset * line
-            if region.burst > 1:
-                burst_address = address
-                burst_left = region.burst - 1
-        kind = (
-            AccessType.STORE
-            if rng.random() < profile.write_fraction
-            else AccessType.LOAD
-        )
-        yield TraceRecord(gap, kind, address)
-
-
-def _mixture_trace_numpy(
-    profile: MixtureProfile,
-    seed: int,
-    base_address: int,
-) -> Iterator[TraceRecord]:
-    """Batched numpy implementation of :func:`mixture_trace`.
-
-    Draws random variates in blocks of 4096 and assembles records with
-    vectorised integer arithmetic; behaviourally equivalent to the
-    Python engine (same distributions), though the exact streams
-    differ.  The record stream is bit-identical to the historical
+    Draws random variates in blocks of :data:`CHUNK_RECORDS` and
+    yields each block as one ``(gaps, kind_codes, addresses)`` chunk
+    of int64 arrays (layout in :mod:`repro.workloads.trace`); the
+    arrays are never written after they are yielded, so consumers may
+    keep them.  The record stream is bit-identical to the historical
     scalar numpy loop (the golden regression digests depend on it);
     ``tests/workloads/test_synthetic_vector.py`` keeps a copy of that
     scalar loop and asserts equivalence.
@@ -245,10 +170,9 @@ def _mixture_trace_numpy(
        at all); bursty mixtures fall back to a *visit* loop with one
        Python iteration per region visit (not per record) and burst
        continuations filled by a C-level slice assignment;
-    3. records are materialised with a C-level ``map`` feeding
-       ``tuple.__new__`` so no per-record Python bytecode runs at all
-       (``TraceRecord._make`` is a Python-level classmethod and would
-       cost a frame per record).
+    3. kind codes are one vectorised ``where``; turning the chunk into
+       records is the consumer's job
+       (:func:`repro.workloads.trace.records_from_chunks`).
     """
     rng = _np.random.RandomState(seed & 0x7FFF_FFFF)
     line = profile.line_size
@@ -275,16 +199,11 @@ def _mixture_trace_numpy(
     p_write = profile.write_fraction
     code_lines = profile.code_lines
 
-    #: kind lookup by code: 0 = load, 1 = store, 2 = ifetch.
-    kind_table = [AccessType.LOAD, AccessType.STORE, AccessType.IFETCH]
-
     code_cursor = 0
     stream_cursors = [0] * len(regions)
     burst_address = 0
     burst_left = 0
-    batch = 4096
-    record_new = tuple.__new__
-    record_cls = _repeat(TraceRecord)
+    batch = CHUNK_RECORDS
 
     # Burst-free mixtures (the common case) admit a fully vectorised
     # data pass; only bursty profiles need the per-visit Python loop.
@@ -295,17 +214,18 @@ def _mixture_trace_numpy(
 
     # Per-batch bindings hoisted out of the generation loop (HX2/HX1):
     # bound methods and dtype objects are immutable, and the zero-gap
-    # list is only ever read, so one shared instance is safe.
+    # array is read-only, so one shared instance is safe.
     np_int64 = _np.int64
     np_where = _np.where
     np_flatnonzero = _np.flatnonzero
     np_accumulate = _np.maximum.accumulate
     random_sample = rng.random_sample
-    zero_gaps = [0] * batch
+    zero_gaps = _np.zeros(batch, dtype=np_int64)
+    zero_gaps.flags.writeable = False
 
     while True:
         if exp_mean > 0:
-            gaps = rng.exponential(exp_mean, batch).astype(np_int64).tolist()
+            gaps = rng.exponential(exp_mean, batch).astype(np_int64)
         else:
             gaps = zero_gaps
         u_type = random_sample(batch)
@@ -405,10 +325,8 @@ def _mixture_trace_numpy(
                     cursor += 1
             addresses[data_pos] = data_addresses
 
-        # -- pass 3: C-level record assembly --------------------------------
-        kind_codes = _np.where(is_ifetch, 2, u_write < p_write)
-        kinds = map(kind_table.__getitem__, kind_codes.tolist())
-        yield from map(record_new, record_cls, zip(gaps, kinds, addresses.tolist()))
+        # -- pass 3: kind codes (indices into KIND_CODES) ------------------
+        yield gaps, np_where(is_ifetch, 2, u_write < p_write), addresses
 
 
 # -- simple single-pattern generators (tests, examples, figure 3) -------------

@@ -1,20 +1,34 @@
 """Trace records and trace utilities.
 
-A trace is an iterable of :class:`TraceRecord` items.  ``gap`` is the
-number of non-memory instructions executed *before* this memory
+A trace is an iterable of ``(gap, kind, address)`` records.  ``gap``
+is the number of non-memory instructions executed *before* this memory
 instruction, so instruction counts are recoverable without storing
 every instruction (the paper's traces are Pin memory traces with the
 same property).
 
-Records are ``NamedTuple``s: attribute access for readability in
-tests and examples, raw-tuple speed in the simulator's hot loop.
+Two views of the same records exist:
+
+* the simulator path (:meth:`repro.workloads.WorkloadMix.traces`)
+  yields plain ``(gap, kind, address)`` triples, unpacked by the core
+  and never inspected by attribute — building a namedtuple per record
+  would cost about half the per-record price of the stream;
+* tests, examples and the CLI get :class:`TraceRecord` namedtuples
+  (:func:`repro.workloads.mixture_trace`,
+  :func:`repro.workloads.app_trace`), equal to the triples field for
+  field.
+
+Synthetic generators produce records in *column chunks*: a
+``(gaps, kind_codes, addresses)`` triple of equal-length integer numpy
+arrays, kind codes indexing :data:`KIND_CODES`.
+:func:`records_from_chunks` turns a chunk stream into plain triples
+with C-level iteration only (no per-record bytecode).
 """
 
 from __future__ import annotations
 
 import itertools
 from pathlib import Path
-from typing import Iterable, Iterator, List, NamedTuple, Union
+from typing import Any, Iterable, Iterator, List, NamedTuple, Tuple, Union
 
 from ..access import AccessType
 from ..errors import TraceError
@@ -31,6 +45,28 @@ class TraceRecord(NamedTuple):
     def instructions(self) -> int:
         """Instructions this record accounts for (gap + the access itself)."""
         return self.gap + 1
+
+
+#: ``AccessType`` by chunk kind code: 0 = load, 1 = store, 2 = ifetch.
+KIND_CODES = (AccessType.LOAD, AccessType.STORE, AccessType.IFETCH)
+
+#: one column chunk: ``(gaps, kind_codes, addresses)`` numpy arrays.
+Chunk = Tuple[Any, Any, Any]
+
+#: one simulator-path record: ``(gap, kind, address)``.
+Record = Tuple[int, AccessType, int]
+
+_kind_of = KIND_CODES.__getitem__
+
+
+def _chunk_records(chunk: Chunk) -> Iterator[Record]:
+    gaps, kind_codes, addresses = chunk
+    return zip(gaps.tolist(), map(_kind_of, kind_codes.tolist()), addresses.tolist())
+
+
+def records_from_chunks(chunks: Iterable[Chunk]) -> Iterator[Record]:
+    """Flatten a chunk stream into plain triples (the simulator path)."""
+    return itertools.chain.from_iterable(map(_chunk_records, chunks))
 
 
 def take(trace: Iterable[TraceRecord], count: int) -> List[TraceRecord]:

@@ -156,15 +156,15 @@ class TestTraceConstruction:
     def test_per_core_address_disjointness(self):
         mix = WorkloadMix("T", ("lib", "lib"))
         traces = mix.traces()
-        a = {next(traces[0]).address >> 40 for _ in range(200)}
-        b = {next(traces[1]).address >> 40 for _ in range(200)}
+        a = {next(traces[0])[2] >> 40 for _ in range(200)}
+        b = {next(traces[1])[2] >> 40 for _ in range(200)}
         assert a.isdisjoint(b)
 
     def test_same_app_different_cores_not_lockstep(self):
         mix = WorkloadMix("T", ("mcf", "mcf"))
         traces = mix.traces()
-        offsets_a = [next(traces[0]).address & 0xFFFFFF for _ in range(100)]
-        offsets_b = [next(traces[1]).address & 0xFFFFFF for _ in range(100)]
+        offsets_a = [next(traces[0])[2] & 0xFFFFFF for _ in range(100)]
+        offsets_b = [next(traces[1])[2] & 0xFFFFFF for _ in range(100)]
         assert offsets_a != offsets_b
 
     def test_working_sets_scale_with_reference(self):

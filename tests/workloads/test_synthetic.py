@@ -1,6 +1,10 @@
 """Tests for the synthetic trace generators."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,86 +81,112 @@ class TestMixtureValidation:
         with pytest.raises(TraceError):
             RegionSpec(lines=4, weight=1.0, burst=0)
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(TraceError):
-            mixture_trace(simple_profile(), engine="fortran")
 
-
-@pytest.mark.parametrize("engine", ["python", "numpy"])
+# The id names the generator engine (numpy batches, the only one).
+@pytest.mark.parametrize("generate", [mixture_trace], ids=["numpy"])
 class TestMixtureStatistics:
-    def test_deterministic_per_seed(self, engine):
+    def test_deterministic_per_seed(self, generate):
         profile = simple_profile()
-        a = take(mixture_trace(profile, seed=5, engine=engine), 300)
-        b = take(mixture_trace(profile, seed=5, engine=engine), 300)
+        a = take(generate(profile, seed=5), 300)
+        b = take(generate(profile, seed=5), 300)
         assert a == b
 
-    def test_different_seeds_differ(self, engine):
+    def test_different_seeds_differ(self, generate):
         profile = simple_profile()
-        a = take(mixture_trace(profile, seed=1, engine=engine), 300)
-        b = take(mixture_trace(profile, seed=2, engine=engine), 300)
+        a = take(generate(profile, seed=1), 300)
+        b = take(generate(profile, seed=2), 300)
         assert a != b
 
-    def test_ifetch_fraction_close_to_target(self, engine):
+    def test_ifetch_fraction_close_to_target(self, generate):
         profile = simple_profile()
-        records = take(mixture_trace(profile, seed=7, engine=engine), 20_000)
+        records = take(generate(profile, seed=7), 20_000)
         ifetches = sum(1 for r in records if r.kind is AccessType.IFETCH)
         expected = profile.ifetch_per_instruction / (
             profile.ifetch_per_instruction + profile.data_per_instruction
         )
         assert ifetches / len(records) == pytest.approx(expected, rel=0.15)
 
-    def test_instruction_rate_close_to_target(self, engine):
+    def test_instruction_rate_close_to_target(self, generate):
         profile = simple_profile()
-        records = take(mixture_trace(profile, seed=7, engine=engine), 20_000)
+        records = take(generate(profile, seed=7), 20_000)
         instructions = sum(r.gap + 1 for r in records)
         per_record = 1.0 / (
             profile.ifetch_per_instruction + profile.data_per_instruction
         )
         assert instructions / len(records) == pytest.approx(per_record, rel=0.15)
 
-    def test_write_fraction(self, engine):
+    def test_write_fraction(self, generate):
         profile = simple_profile(write_fraction=0.5)
-        records = take(mixture_trace(profile, seed=7, engine=engine), 20_000)
+        records = take(generate(profile, seed=7), 20_000)
         data = [r for r in records if r.kind is not AccessType.IFETCH]
         stores = sum(1 for r in data if r.kind is AccessType.STORE)
         assert stores / len(data) == pytest.approx(0.5, rel=0.1)
 
-    def test_addresses_stay_in_declared_regions(self, engine):
+    def test_addresses_stay_in_declared_regions(self, generate):
         from repro.workloads.synthetic import CODE_BASE, DATA_BASE
 
         profile = simple_profile()
-        records = take(mixture_trace(profile, seed=7, engine=engine), 5_000)
+        records = take(generate(profile, seed=7), 5_000)
         for record in records:
             if record.kind is AccessType.IFETCH:
                 assert CODE_BASE <= record.address < CODE_BASE + 16 * 64
             else:
                 assert DATA_BASE <= record.address < DATA_BASE + 32 * 64
 
-    def test_sequential_region_streams(self, engine):
+    def test_sequential_region_streams(self, generate):
         profile = simple_profile(
             regions=(RegionSpec(lines=1000, weight=1.0, sequential=True),),
         )
-        records = take(mixture_trace(profile, seed=7, engine=engine), 500)
+        records = take(generate(profile, seed=7), 500)
         data_addresses = [
             r.address for r in records if r.kind is not AccessType.IFETCH
         ]
         assert data_addresses == sorted(data_addresses)
 
-    def test_burst_repeats_lines(self, engine):
+    def test_burst_repeats_lines(self, generate):
         profile = simple_profile(
             regions=(RegionSpec(lines=10_000, weight=1.0, burst=3),),
         )
-        records = take(mixture_trace(profile, seed=7, engine=engine), 3_000)
+        records = take(generate(profile, seed=7), 3_000)
         data = [r.address for r in records if r.kind is not AccessType.IFETCH]
         # In a 10k-line region, repeats only happen because of bursts;
         # each visited line should appear ~3 times consecutively.
         runs = [len(list(g)) for _, g in itertools.groupby(data)]
         assert sum(runs) / len(runs) == pytest.approx(3.0, rel=0.2)
 
-    def test_base_address_offset(self, engine):
+    def test_base_address_offset(self, generate):
         profile = simple_profile()
         records = take(
-            mixture_trace(profile, seed=7, base_address=1 << 41, engine=engine),
+            generate(profile, seed=7, base_address=1 << 41),
             100,
         )
         assert all(r.address >= (1 << 41) for r in records)
+
+
+#: imports the workload package with numpy hidden; exit 3 on ImportError.
+NO_NUMPY_SNIPPET = """
+import sys
+sys.modules["numpy"] = None  # makes every ``import numpy`` raise ImportError
+try:
+    import repro.workloads
+except ImportError as exc:
+    print(exc)
+    sys.exit(3)
+"""
+
+
+def test_import_without_numpy_fails_loudly():
+    """numpy is a runtime dependency: without it the workload package
+    refuses to import instead of simulating on another engine whose
+    streams (and so results under the same job key) would differ."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_SNIPPET],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 3, out.stdout + out.stderr
+    assert "numpy" in out.stdout

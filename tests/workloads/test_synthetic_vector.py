@@ -1,10 +1,11 @@
-"""Equivalence of the vectorised numpy mixture engine.
+"""Equivalence of the vectorised numpy mixture generator.
 
 The golden regression digests (and every BENCH trajectory entry) were
 produced by the original *scalar* numpy batch loop, so the vectorised
-engine in :func:`repro.workloads.synthetic._mixture_trace_numpy` must
-reproduce that record stream bit-for-bit — same gaps, same kinds, same
-addresses, in the same order.  This module keeps a verbatim copy of
+column-chunk generator :func:`repro.workloads.synthetic.mixture_chunks`
+(read here through :func:`~repro.workloads.synthetic.mixture_trace`)
+must reproduce that record stream bit-for-bit — same gaps, same
+kinds, same addresses, in the same order.  This module keeps a verbatim copy of
 the scalar loop as the executable specification and checks the two
 against each other across every shipped application profile plus
 hand-built edge-case mixtures (bursts spanning batch boundaries,
@@ -13,9 +14,8 @@ sequential streams, degenerate one-line regions).
 
 import itertools
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.access import AccessType
 from repro.config import HierarchyConfig
@@ -27,7 +27,7 @@ from repro.workloads.synthetic import (
     MixtureProfile,
     RegionSpec,
     _exponential_mean_for_floored,
-    _mixture_trace_numpy,
+    mixture_trace,
 )
 from repro.workloads.trace import TraceRecord
 
@@ -111,7 +111,7 @@ def _scalar_reference(profile, seed, base_address):
 
 
 def assert_streams_identical(profile, seed, base_address, count):
-    fast = _mixture_trace_numpy(profile, seed, base_address)
+    fast = mixture_trace(profile, seed, base_address)
     reference = _scalar_reference(profile, seed, base_address)
     for i, (got, want) in enumerate(
         itertools.islice(zip(fast, reference), count)

@@ -69,6 +69,12 @@ def test_access_loop_phases_throughput(benchmark):
     _run(benchmark, "access_loop_phases")
 
 
+def test_access_loop_stored_throughput(benchmark):
+    """The access loop on stored streams whose L1 filters are warm:
+    only L1 misses are simulated record by record."""
+    _run(benchmark, "access_loop_stored")
+
+
 def test_trace_generator_throughput(benchmark):
     """Generate 50k records per round (numpy-batched path)."""
     _run(benchmark, "trace_gen")

@@ -130,6 +130,12 @@ class Cache:
         #: pre-bound probe — the map is only ever mutated in place, so
         #: binding ``dict.get`` once saves a method bind per access.
         self._map_get = self._map.get
+        #: the policy's promotion update, pre-bound: its hit update when
+        #: it keeps the default ``promote`` (TLH promotes once per hint).
+        if type(self.policy).promote is ReplacementPolicy.promote:
+            self._promote = self.policy.on_hit
+        else:
+            self._promote = self.policy.promote
         #: recency-stamp hits can be applied inline (no policy call)
         #: when the policy uses the stock LRU-family hit update.
         self._lru_hit_fast = (
@@ -151,6 +157,15 @@ class Cache:
             and not self._index_hash
         ):
             self.access = self._make_lru_access()
+        # Same for ``fill`` under plain LRU, whose victim choice and
+        # stamp updates it can inline exactly (LIP/MRU and other
+        # policies keep the generic staged path).
+        if (
+            type(self).fill is Cache.fill
+            and type(self.policy) is LRUPolicy
+            and not self._index_hash
+        ):
+            self.fill = self._make_lru_fill()
 
     # -- geometry helpers ---------------------------------------------------
     def set_index_of(self, line_addr: int) -> int:
@@ -284,15 +299,99 @@ class Cache:
 
         return access
 
+    def _make_lru_fill(self):
+        """Build the specialised fill closure (see __init__).
+
+        Semantically identical to :meth:`fill` with LRU's ``on_hit``,
+        ``select_victim``, ``on_invalidate`` and ``on_fill``, and
+        :meth:`evict_way` / :meth:`fill_way`, inlined; a call with
+        ``exclude_ways`` takes the generic method.
+        """
+        generic_fill = Cache.fill.__get__(self)
+        resident = self._map
+        map_get = resident.get
+        stats = self.stats
+        set_mask = self._set_mask
+        assoc = self.associativity
+        policy = self.policy
+        stamp = policy._stamp
+        clock = policy._clock
+        cold = policy._cold
+        addrs = self._addrs
+        valid = self._valid
+        find_invalid = valid.find
+        dirty_bits = self._dirty
+
+        def fill(
+            line_addr: int, dirty: bool = False, exclude_ways: Collection[int] = ()
+        ) -> Optional[EvictedLine]:
+            if exclude_ways:
+                return generic_fill(line_addr, dirty, exclude_ways)
+            set_index = line_addr & set_mask
+            base = set_index * assoc
+            way = map_get(line_addr)
+            if way is not None:
+                slot = base + way
+                if dirty:
+                    dirty_bits[slot] = 1
+                top = clock[set_index]
+                if stamp[slot] == top:
+                    policy.last_hit_was_mru = True
+                else:
+                    policy.last_hit_was_mru = False
+                    top += 1
+                    clock[set_index] = top
+                    stamp[slot] = top
+                return None
+            victim = None
+            slot = find_invalid(0, base, base + assoc)
+            if slot < 0:
+                # LRU victim: the way with the (unique) lowest stamp.
+                stamps = stamp[base:base + assoc]
+                way = stamps.index(min(stamps))
+                slot = base + way
+                # The victim's stamp was the set's unique minimum, so
+                # once it turns cold the surviving maximum is the old
+                # one (unless the victim was the set's only way).
+                highest = max(stamps)
+                evicted = addrs[slot]
+                was_dirty = dirty_bits[slot]
+                victim = EvictedLine(evicted, bool(was_dirty))
+                del resident[evicted]
+                stats.evictions += 1
+                if was_dirty:
+                    stats.dirty_evictions += 1
+                coldest = cold[set_index] - 1
+                cold[set_index] = coldest
+                stamp[slot] = coldest
+                clock[set_index] = highest if assoc > 1 else coldest
+            else:
+                way = slot - base
+            addrs[slot] = line_addr
+            valid[slot] = 1
+            dirty_bits[slot] = 1 if dirty else 0
+            resident[line_addr] = way
+            top = clock[set_index] + 1
+            clock[set_index] = top
+            stamp[slot] = top
+            stats.fills += 1
+            return victim
+
+        return fill
+
     def promote(self, line_addr: int) -> bool:
         """Refresh a line toward MRU without a demand access (TLH/QBS).
 
         Returns False (and does nothing) if the line is absent.
         """
-        way = self._map.get(line_addr)
+        way = self._map_get(line_addr)
         if way is None:
             return False
-        self.policy.promote(self.set_index_of(line_addr), way)
+        if self._index_hash:
+            set_index = self.set_index_of(line_addr)
+        else:
+            set_index = line_addr & self._set_mask
+        self._promote(set_index, way)
         self.stats.promotions += 1
         return True
 

@@ -39,6 +39,11 @@ class MessageType(enum.Enum):
     #: snoop probe to a core (non-inclusive hierarchies lack the filter)
     SNOOP_PROBE = "snoop_probe"
 
+    # Members are singletons compared by identity, so the C-level
+    # identity hash is consistent with equality; Enum's own __hash__
+    # is a Python call on every TrafficMeter.record (once per TLH hint).
+    __hash__ = object.__hash__
+
 
 @dataclass
 class TrafficMeter:

@@ -25,6 +25,10 @@ from ..errors import ConfigurationError
 from ..telemetry.events import EVENT_TLH_HINT
 from .tla import TLAPolicy
 
+#: bound once: an Enum class attribute lookup per hint costs a
+#: metaclass probe.
+_TLH_HINT = MessageType.TLH_HINT
+
 
 class TemporalLocalityHints(TLAPolicy):
     """Send LLC replacement-state hints on core-cache hits."""
@@ -75,7 +79,7 @@ class TemporalLocalityHints(TLAPolicy):
                 self.hints_dropped += 1
                 return
             self._fired = due
-        hierarchy.traffic.record(MessageType.TLH_HINT)
+        hierarchy.traffic.record(_TLH_HINT)
         self.hints_sent += 1
         if hierarchy.tracer is not None:
             hierarchy.tracer.emit(

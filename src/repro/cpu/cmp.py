@@ -26,6 +26,7 @@ from ..telemetry import (
     TelemetryConfig,
     Tracer,
 )
+from ..workloads.store import StoredStream
 from ..workloads.trace import TraceRecord
 from .core import SimulatedCore
 
@@ -61,11 +62,13 @@ class SimResult:
     #: fixed-window telemetry time series (None unless the run had
     #: telemetry configured; see :mod:`repro.telemetry.intervals`).
     intervals: Optional[IntervalSeries] = None
-    #: host-side performance digest (wall seconds, simulated-work rates
-    #: and, when a :class:`repro.perf.PhaseTimer` was attached, its
-    #: per-phase exclusive-time report).  Pure provenance about *this
-    #: execution of the simulator* — never part of the simulated
-    #: output, never written to the result cache.
+    #: host-side performance digest (wall seconds, simulated-work rates,
+    #: the L1-filter figures ``stripped_records``, ``l1_filter_s`` and
+    #: per-core ``materialized_at`` and, when a
+    #: :class:`repro.perf.PhaseTimer` was attached, its per-phase
+    #: exclusive-time report).  Pure provenance about *this execution
+    #: of the simulator* — never part of the simulated output, never
+    #: written to the result cache.
     host: Optional[Dict[str, object]] = None
 
     @property
@@ -100,7 +103,13 @@ class CMPSimulator:
         hierarchy: Optional[BaseHierarchy] = None,
         telemetry: Optional[TelemetryConfig] = None,
         phase_timer: Optional[PhaseTimer] = None,
+        streams: Optional[Sequence[Optional[StoredStream]]] = None,
     ) -> None:
+        """``streams`` optionally names, per core, the stored stream its
+        trace replays from record 0
+        (:func:`repro.workloads.store.stored_stream`); such a core runs
+        on the stream's L1 filter where it can
+        (:meth:`SimulatedCore.strip`), with identical results."""
         if len(traces) != config.hierarchy.num_cores:
             raise SimulationError(
                 f"{config.hierarchy.num_cores} cores need "
@@ -115,6 +124,7 @@ class CMPSimulator:
             SimulatedCore(core_id, trace, self.hierarchy, config, self.mshr)
             for core_id, trace in enumerate(traces)
         ]
+        self._streams = list(streams) if streams is not None else []
         # Telemetry session: a tracer on the hierarchy/MSHR hook sites
         # (event tracing) and an interval collector driven by the step
         # hook (time series).  Inactive telemetry installs nothing, so
@@ -169,6 +179,10 @@ class CMPSimulator:
         steps = 0
         timer = self.phase_timer
         wall_start = time.perf_counter()
+        if not check_invariants_every:
+            for core, stream in zip(self.cores, self._streams):
+                if stream is not None:
+                    core.strip(stream)
         if timer is not None:
             timer.enter(PHASE_SIM_LOOP)
         while remaining:
@@ -201,6 +215,8 @@ class CMPSimulator:
                 and steps % check_invariants_every == 0
             ):
                 self.hierarchy.check_invariants()
+        for core in self.cores:
+            core.finish_strip()
         if timer is not None:
             timer.exit()
         if check_invariants_every:
@@ -222,6 +238,9 @@ class CMPSimulator:
             "instructions": instructions,
             "instructions_per_s": instructions / wall_s if wall_s > 0 else 0.0,
             "accesses_per_s": steps / wall_s if wall_s > 0 else 0.0,
+            "stripped_records": sum(core.stripped_records for core in self.cores),
+            "l1_filter_s": sum(core.l1_filter_s for core in self.cores),
+            "materialized_at": [core.materialized_at for core in self.cores],
         }
         timer = self.phase_timer
         if timer is not None and timer.enabled:

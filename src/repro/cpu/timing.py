@@ -32,6 +32,11 @@ from ..config import TimingConfig
 from ..hierarchy import HIT_L1, HIT_L2, HIT_LLC, HIT_MEMORY
 from ..hierarchy.mshr import MSHRFile
 
+# Module-level bindings: an Enum class attribute lookup costs a
+# metaclass probe, paid here once per L1 miss otherwise.
+_IFETCH = AccessType.IFETCH
+_STORE = AccessType.STORE
+
 
 class CoreTimingModel:
     """Cycle accounting for one core."""
@@ -93,7 +98,7 @@ class CoreTimingModel:
             return_cycle = issue + latency
         else:
             return_cycle = self.cycles + latency
-        if kind is AccessType.IFETCH:
+        if kind is _IFETCH:
             # Front-end stall: fetch misses serialise and overlap with
             # nothing downstream.
             exposure = self.timing.ifetch_exposure
@@ -102,7 +107,7 @@ class CoreTimingModel:
             # flight, the more of this one's latency overlaps with
             # them.  Isolated (dependent) misses pay nearly full price.
             exposure = self.timing.load_exposure / (1 + len(self._pending))
-            if kind is AccessType.STORE:
+            if kind is _STORE:
                 exposure *= self.timing.store_stall_fraction
         self.cycles += (return_cycle - self.cycles) * exposure
         self._pending.append((self.instructions, return_cycle))

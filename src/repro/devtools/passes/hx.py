@@ -37,8 +37,9 @@ from ..project import FunctionInfo, ProjectIndex, dotted_parts
 from ..rules import Finding
 
 #: qualname suffixes registered as hot by default: the packed
-#: tag-store access closures, the burst loops, the vectorised
-#: column-chunk trace generator and the trace store's replay loop.
+#: tag-store access closures, the burst loops (scalar and on the L1
+#: filter), the L1 filter builder, the vectorised column-chunk trace
+#: generator and the trace store's replay loop.
 DEFAULT_HOT_SUFFIXES = (
     "Cache.access",
     "Cache._make_lru_access",
@@ -46,6 +47,10 @@ DEFAULT_HOT_SUFFIXES = (
     "SimulatedCore._step_burst_plain",
     "SimulatedCore._step_burst_timer_inline",
     "SimulatedCore._step_burst_timer_plain",
+    "SimulatedCore._step_burst_stripped",
+    "SimulatedCore._step_burst_stripped_records",
+    "SimulatedCore._hit_run",
+    "l1filter._drive",
     "mixture_chunks",
     "StoredStream.packed_chunks",
 )

@@ -50,6 +50,7 @@ LEVEL_NAMES = {HIT_L1: "l1", HIT_L2: "l2", HIT_LLC: "llc", HIT_MEMORY: "memory"}
 # so the demand path compares against module-level bindings instead.
 _IFETCH = AccessType.IFETCH
 _STORE = AccessType.STORE
+_LLC_REQUEST = MessageType.LLC_REQUEST
 
 
 @dataclass
@@ -275,7 +276,7 @@ class BaseHierarchy:
         if timer is not None:
             timer.exit()
             timer.enter(PHASE_LLC_ACCESS)
-        self.traffic.record(MessageType.LLC_REQUEST)
+        self.traffic.record(_LLC_REQUEST)
         if stats is not None:
             stats.llc_accesses += 1
         level = self._llc_demand(core_id, line_addr, stats)
@@ -482,9 +483,6 @@ class BaseHierarchy:
     # -- invariant checks (tests call these) ---------------------------------------------
     def check_invariants(self) -> None:
         """Raise if the mode's structural invariant is violated."""
-
-    def total_instructions_quota_hint(self) -> None:  # pragma: no cover
-        """Placeholder for future use; quota lives in the CPU model."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} cores={self.num_cores} llc={self.llc!r}>"

@@ -25,6 +25,10 @@ from ..telemetry.events import EVENT_LLC_MISS
 from .base import HIT_LLC, HIT_MEMORY, BaseHierarchy, CoreAccessStats
 from .levels import CoreCaches
 
+#: bound once (an Enum class attribute lookup per LLC miss is a
+#: metaclass probe).
+_MEMORY_REQUEST = MessageType.MEMORY_REQUEST
+
 
 class ExclusiveHierarchy(BaseHierarchy):
     """LLC holds only lines evicted from the core caches."""
@@ -46,7 +50,7 @@ class ExclusiveHierarchy(BaseHierarchy):
             stats.llc_misses += 1
         if self.tracer is not None:
             self.tracer.emit(self.clock, EVENT_LLC_MISS, core=core_id, line=line_addr)
-        self.traffic.record(MessageType.MEMORY_REQUEST)
+        self.traffic.record(_MEMORY_REQUEST)
         # Miss path: the LLC is NOT filled; the line goes straight to
         # the core caches (BaseHierarchy.access fills L2 then L1).
         return HIT_MEMORY

@@ -18,6 +18,10 @@ from ..telemetry.events import EVENT_LLC_MISS
 from .base import HIT_LLC, HIT_MEMORY, BaseHierarchy, CoreAccessStats
 from .levels import CoreCaches
 
+#: bound once (an Enum class attribute lookup per LLC miss is a
+#: metaclass probe).
+_MEMORY_REQUEST = MessageType.MEMORY_REQUEST
+
 
 class InclusiveHierarchy(BaseHierarchy):
     """LLC evictions remove the line from every core cache."""
@@ -33,7 +37,7 @@ class InclusiveHierarchy(BaseHierarchy):
             stats.llc_misses += 1
         if self.tracer is not None:
             self.tracer.emit(self.clock, EVENT_LLC_MISS, core=core_id, line=line_addr)
-        self.traffic.record(MessageType.MEMORY_REQUEST)
+        self.traffic.record(_MEMORY_REQUEST)
         self._fill_llc(core_id, line_addr)
         return HIT_MEMORY
 

@@ -25,6 +25,10 @@ class CoreCaches:
         self.l1i = Cache(config.l1i)
         self.l1d = Cache(config.l1d)
         self.l2 = Cache(config.l2)
+        #: called before :meth:`invalidate_all` drops a line one of the
+        #: L1s holds; a core running on an L1 filter installs it to make
+        #: its L1s exact first (:meth:`repro.cpu.SimulatedCore.strip`).
+        self.before_l1_drop = None
 
     def cache_for_kind(self, kind: str) -> Cache:
         """Map a level token ("il1"/"dl1"/"l2") to the cache object."""
@@ -55,6 +59,11 @@ class CoreCaches:
         Returns ``(was_present, was_dirty)``.  Dirty data must be
         written back toward memory by the caller.
         """
+        hook = self.before_l1_drop
+        if hook is not None and (
+            self.l1i.contains(line_addr) or self.l1d.contains(line_addr)
+        ):
+            hook()
         present = False
         dirty = False
         for cache in (self.l1i, self.l1d, self.l2):

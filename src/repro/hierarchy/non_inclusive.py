@@ -22,6 +22,10 @@ from ..telemetry.events import EVENT_LLC_MISS
 from .base import HIT_LLC, HIT_MEMORY, BaseHierarchy, CoreAccessStats
 from .levels import CoreCaches
 
+#: bound once (an Enum class attribute lookup per LLC miss is a
+#: metaclass probe).
+_MEMORY_REQUEST = MessageType.MEMORY_REQUEST
+
 
 class NonInclusiveHierarchy(BaseHierarchy):
     """LLC evictions leave the core caches untouched."""
@@ -37,7 +41,7 @@ class NonInclusiveHierarchy(BaseHierarchy):
             stats.llc_misses += 1
         if self.tracer is not None:
             self.tracer.emit(self.clock, EVENT_LLC_MISS, core=core_id, line=line_addr)
-        self.traffic.record(MessageType.MEMORY_REQUEST)
+        self.traffic.record(_MEMORY_REQUEST)
         self._fill_llc(core_id, line_addr)
         return HIT_MEMORY
 

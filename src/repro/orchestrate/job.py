@@ -31,7 +31,7 @@ from ..perf.phase import PHASE_EXECUTE_JOB, PhaseTimer
 from ..telemetry import TelemetryConfig, write_events_jsonl
 from ..version import __version__
 from ..workloads import WorkloadMix, mix_category
-from ..workloads.store import StreamKey
+from ..workloads.store import StreamKey, stored_stream
 
 #: Bump when simulator behaviour changes to invalidate stale caches.
 CACHE_SCHEMA = 6
@@ -222,7 +222,11 @@ def execute_job(job: SimJob) -> RunSummary:
         victim_cache_entries=job.victim_cache_entries,
     )
     simulator = CMPSimulator(
-        config, mix.traces(reference), telemetry=telemetry, phase_timer=timer
+        config,
+        mix.traces(reference),
+        telemetry=telemetry,
+        phase_timer=timer,
+        streams=[stored_stream(key) for key in mix.streams(reference)],
     )
     result = simulator.run()
     summary = RunSummary(

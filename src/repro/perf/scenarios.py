@@ -44,6 +44,9 @@ LLC_THRASH_INSTRUCTIONS = 20_000
 #: loose enough for any reasonable machine, tight enough to catch a
 #: 2x hot-path regression.
 FLOOR_ACCESS_LOOP = 30_000.0
+#: the access loop on stored streams with warm L1 filters simulates
+#: only L1 misses, so its floor sits above the scalar loop's.
+FLOOR_ACCESS_LOOP_STORED = 60_000.0
 FLOOR_TRACE_GEN = 200_000.0
 FLOOR_CACHE_ARRAY = 200_000.0
 #: deliberately low: every record walks the full miss path (LLC miss,
@@ -104,6 +107,37 @@ def access_loop_null_timer_round() -> int:
 def access_loop_phases_round() -> int:
     """Same work with an enabled PhaseTimer (instrumentation cost)."""
     return _access_loop_round(phase_timer=PhaseTimer())
+
+
+def _access_loop_stored_round(streams) -> int:
+    from repro import CMPSimulator, SimConfig, baseline_hierarchy
+
+    config = SimConfig(
+        hierarchy=baseline_hierarchy(2, scale=SCALE),
+        instruction_quota=ACCESS_LOOP_INSTRUCTIONS // 2,
+    )
+    result = CMPSimulator(
+        config, [stream.replay() for stream in streams], streams=streams
+    ).run()
+    return result.total_instructions
+
+
+@functools.lru_cache(maxsize=1)
+def _stored_mix10_streams():
+    """MIX_10's two streams, stored, their L1 filters built by one run."""
+    from repro import baseline_hierarchy
+    from repro.workloads import mix_by_name
+    from repro.workloads.store import StoredStream
+
+    reference = baseline_hierarchy(2, scale=SCALE)
+    streams = [StoredStream(key) for key in mix_by_name("MIX_10").streams(reference)]
+    _access_loop_stored_round(streams)
+    return streams
+
+
+def access_loop_stored_round() -> int:
+    """``access_loop``'s work on stored streams with warm L1 filters."""
+    return _access_loop_stored_round(_stored_mix10_streams())
 
 
 def trace_gen_round() -> int:
@@ -227,6 +261,14 @@ SCENARIOS: Dict[str, Scenario] = {
             floor=0.0,
             round_fn=access_loop_phases_round,
             description="access loop with an enabled PhaseTimer",
+        ),
+        Scenario(
+            name="access_loop_stored",
+            metric="instructions_per_s",
+            work=ACCESS_LOOP_INSTRUCTIONS,
+            floor=FLOOR_ACCESS_LOOP_STORED,
+            round_fn=access_loop_stored_round,
+            description="access loop on stored streams, L1 filters warm",
         ),
         Scenario(
             name="trace_gen",

@@ -144,8 +144,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         pass
     finally:
         log.info("service_stopping")
-        server.server_close()
+        # Stop the broker first: streaming feeds end with it, so
+        # server_close joins every handler thread promptly.
         broker.stop()
+        server.server_close()
     return 0
 
 

@@ -120,9 +120,16 @@ TRACE_HEADER = "X-Repro-Trace"
 
 
 class ReproServiceServer(ThreadingHTTPServer):
-    """The listening server: broker + config + request counters."""
+    """The listening server: broker + config + request counters.
 
-    daemon_threads = True
+    Handler threads are not daemons, so :meth:`server_close` joins
+    every one of them: no handler outlives its server.  Streaming
+    ``/events`` feeds end when the server closes or the broker stops,
+    so that join never waits on a live sweep.  Shut down with
+    ``shutdown()``, ``broker.stop()``, then ``server_close()``.
+    """
+
+    daemon_threads = False
 
     def __init__(
         self,
@@ -139,6 +146,13 @@ class ReproServiceServer(ThreadingHTTPServer):
         self.settings = settings
         self._counter_lock = threading.Lock()
         self._request_counts: Dict[str, int] = {}
+        #: set by :meth:`server_close`; ends streaming feeds.
+        self.closing = threading.Event()
+
+    def server_close(self) -> None:
+        """Close the socket and join every handler thread."""
+        self.closing.set()
+        super().server_close()
 
     def count_request(self, label: str, status: int) -> None:
         with self._counter_lock:
@@ -155,6 +169,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server: ReproServiceServer
+    #: buffer each response until the request is finished, so its
+    #: access-log line is written before the client can see it.
+    wbufsize = -1
 
     # -- routing ---------------------------------------------------------------
     def _dispatch(self, method: str) -> None:
@@ -327,7 +344,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
         ``?since=N`` resumes after event index N-1; ``?follow=0``
         returns only the current backlog (plain polling).  Following
-        ends when the sweep reaches a terminal state.
+        ends when the sweep reaches a terminal state, the broker stops
+        or the server closes.
         """
         broker = self.server.broker
         since = self._int_query("since", 0)
@@ -347,6 +365,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.close_connection = True
         self.end_headers()
         cursor = since
+        closing = self.server.closing
         while True:
             for event in events:
                 self.wfile.write(
@@ -354,7 +373,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 )
                 cursor += 1
             self.wfile.flush()
-            if not follow:
+            if not follow or broker.stopped or closing.is_set():
                 return
             sweep = broker.sweep(sweep_id)
             if sweep is None or (

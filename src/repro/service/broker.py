@@ -407,6 +407,11 @@ class JobBroker:
         )
         return self
 
+    @property
+    def stopped(self) -> bool:
+        """Has :meth:`stop` been called?"""
+        return self._stop.is_set()
+
     def stop(self, timeout: float = 5.0) -> None:
         self._stop.set()
         with self._cond:

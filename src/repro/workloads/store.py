@@ -19,8 +19,13 @@ a later job of the scope will open again and replays it to that job:
   user has opened it.  A key opened once is never stored at all;
 * a sweep whose jobs revisit each stream far apart (ratio-major
   figure sweeps) would hold every pair's streams at once, so a new
-  stream is stored only while the held chunks total less than
-  :data:`STORE_BUDGET_BYTES`; past it, opens are cold.
+  stream is stored only while the held chunks, and the L1 filters
+  built over them (:mod:`repro.cpu.l1filter`), total less than
+  :data:`STORE_BUDGET_BYTES`; past it, opens are cold;
+* :func:`stored_stream` hands a job the :class:`StoredStream` behind a
+  replay it opened, so the simulator can read the stream's chunks and
+  L1 filter directly instead of drawing records one by one
+  (:func:`repro.orchestrate.job.execute_job`).
 
 Outside a scope (single jobs, pool and bus workers) :func:`open_stream`
 is the plain cold generator and nothing is retained.  Scopes are
@@ -30,7 +35,9 @@ per-thread, so concurrent in-process sweeps never share a generator.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import threading
+import weakref
 from collections import Counter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -39,8 +46,9 @@ import numpy as _np
 from .synthetic import MixtureProfile, mixture_chunks
 from .trace import Chunk, Record, records_from_chunks
 
-#: held bytes above which a scope stores no further streams (at the
-#: experiments' default job size a stream packs to a few MB).
+#: held bytes (packed chunks plus L1 filters) above which a scope
+#: stores no further streams (at the experiments' default job size a
+#: stream packs to a few MB).
 STORE_BUDGET_BYTES = 64 << 20
 
 #: a trace stream's identity: the arguments of ``mixture_chunks``.
@@ -58,32 +66,49 @@ def _pack(chunk: Chunk) -> Chunk:
 
 
 class StoredStream:
-    """One stream's packed chunk prefix and the generator extending it."""
+    """One stream's packed chunk prefix and the generator extending it.
 
-    __slots__ = ("chunks", "_source")
+    ``filters`` holds the L1 filters built over the stream, one per L1
+    geometry (:func:`repro.cpu.l1filter.l1_filter`); they live and die
+    with the stream.
+    """
+
+    __slots__ = ("chunks", "filters", "_source", "__weakref__")
 
     def __init__(self, key: StreamKey) -> None:
         self.chunks: List[Chunk] = []
+        self.filters: Dict[object, object] = {}
         self._source = mixture_chunks(*key)
+
+    def chunk(self, index: int) -> Chunk:
+        """Chunk ``index``, generating up to it past the stored prefix."""
+        chunks = self.chunks
+        while len(chunks) <= index:
+            chunks.append(_pack(next(self._source)))
+        return chunks[index]
 
     def packed_chunks(self) -> Iterator[Chunk]:
         """Every chunk from the first, generating past the stored prefix."""
-        chunks = self.chunks
-        source = self._source
-        index = 0
-        while True:
-            if index == len(chunks):
-                chunks.append(_pack(next(source)))
-            yield chunks[index]
-            index += 1
+        return map(self.chunk, itertools.count())
 
-    def replay(self) -> Iterator[Record]:
-        """The stream's records from record 0."""
-        return records_from_chunks(self.packed_chunks())
+    def replay(self, start: int = 0) -> Iterator[Record]:
+        """The stream's records from record ``start`` (default 0)."""
+        chunks = self.packed_chunks()
+        if not start:
+            return records_from_chunks(chunks)
+        for chunk in chunks:
+            size = len(chunk[0])
+            if start < size:
+                break
+            start -= size
+        first = tuple(column[start:] for column in chunk)
+        return records_from_chunks(itertools.chain((first,), chunks))
 
     @property
     def nbytes(self) -> int:
-        return sum(column.nbytes for chunk in self.chunks for column in chunk)
+        """Bytes of packed chunks and L1 filters held."""
+        packed = sum(column.nbytes for chunk in self.chunks for column in chunk)
+        return packed + sum(f.nbytes for f in self.filters.values())
 
 
 class TraceStore:
@@ -93,6 +118,9 @@ class TraceStore:
         #: key -> opens still expected in this scope.
         self._uses = uses
         self._streams: Dict[StreamKey, StoredStream] = {}
+        #: key -> the stream last replayed for it, alive while any
+        #: replay (or simulator) still references it.
+        self._replayed: Dict[StreamKey, "weakref.ref[StoredStream]"] = {}
 
     def open(self, key: StreamKey) -> Iterator[Record]:
         """Records of stream ``key`` from record 0, replayed when stored."""
@@ -105,8 +133,15 @@ class TraceStore:
             if stream is not None:
                 self._streams[key] = stream
         if stream is None:
+            self._replayed.pop(key, None)
             return records_from_chunks(mixture_chunks(*key))
+        self._replayed[key] = weakref.ref(stream)
         return stream.replay()
+
+    def replayed(self, key: StreamKey) -> Optional[StoredStream]:
+        """The stored stream behind the last open of ``key``, if alive."""
+        ref = self._replayed.get(key)
+        return None if ref is None else ref()
 
     def announce(self, keys: Iterable[StreamKey]) -> None:
         """Expect one more open of each key in ``keys``."""
@@ -124,6 +159,7 @@ class TraceStore:
     def clear(self) -> None:
         self._uses.clear()
         self._streams.clear()
+        self._replayed.clear()
 
 
 _scope = threading.local()
@@ -156,3 +192,13 @@ def open_stream(key: StreamKey) -> Iterator[Record]:
     if store is None:
         return records_from_chunks(mixture_chunks(*key))
     return store.open(key)
+
+
+def stored_stream(key: StreamKey) -> Optional[StoredStream]:
+    """The stored stream the calling thread's last open of ``key`` replays.
+
+    None outside a scope, for a cold open, or once nothing references
+    the replayed stream any more.
+    """
+    store = active_store()
+    return None if store is None else store.replayed(key)

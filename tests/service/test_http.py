@@ -48,8 +48,8 @@ class LiveService:
 
     def stop(self):
         self.server.shutdown()
-        self.server.server_close()
         self.broker.stop()
+        self.server.server_close()
         self.thread.join(5)
 
     def request(self, method, path, body=None, tenant=None):
@@ -148,6 +148,31 @@ class TestLifecycle:
         assert status == 200
         events = [json.loads(line) for line in raw.decode().splitlines()]
         assert events[-1]["event"] == "job_done"
+
+    @pytest.mark.parametrize("stop_broker", [True, False])
+    def test_events_follow_ends_with_the_service(self, tmp_path, stop_broker):
+        """A feed of a sweep that never finishes ends at shutdown, so
+        closing the server joins its handler (the autouse leak check)."""
+        live = LiveService(tmp_path)  # broker idle: the sweep stays running
+        live.broker.start = lambda: live.broker  # never dispatch
+        live.start()
+        _, body, _ = live.request("POST", "/v1/sweeps", job_spec(make_job()))
+        sweep_id = body["sweep"]["id"]
+        lines = []
+        response = urllib.request.urlopen(
+            f"{live.base}/v1/sweeps/{sweep_id}/events", timeout=10
+        )
+        reader = threading.Thread(target=lambda: lines.extend(response))
+        reader.start()
+        live.server.shutdown()
+        if stop_broker:
+            live.broker.stop()
+        live.server.server_close()  # returns only once the feed ended
+        reader.join(5)
+        response.close()
+        live.broker.stop()
+        assert not reader.is_alive()
+        assert json.loads(lines[0])["event"] == "sweep_submitted"
 
     def test_cancel_endpoint(self, tmp_path):
         live = LiveService(tmp_path)  # broker not started: jobs stay queued

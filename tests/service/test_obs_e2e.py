@@ -64,8 +64,8 @@ class LiveService:
 
     def __exit__(self, *exc):
         self.server.shutdown()
-        self.server.server_close()
         self.broker.stop()
+        self.server.server_close()
         self.thread.join(5)
 
     def request(self, method, path, body=None, headers=None):

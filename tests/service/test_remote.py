@@ -50,8 +50,8 @@ def live(tmp_path):
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}", config
     server.shutdown()
-    server.server_close()
     broker.stop()
+    server.server_close()
     thread.join(5)
 
 

@@ -103,6 +103,12 @@ class TestStoreUnit:
         assert second == [tuple(record) for record in cold]
         assert all(type(record) is tuple for record in second)
 
+    def test_replay_from_a_record(self):
+        stream = StoredStream(self.key())
+        whole = take(stream.replay(), 9_000)
+        for start in (1, 4_095, 4_096, 5_000):
+            assert take(stream.replay(start), 9_000 - start) == whole[start:]
+
     def test_chunks_are_packed(self):
         stream = StoredStream(self.key())
         take(stream.replay(), 10_000)

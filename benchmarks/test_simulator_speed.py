@@ -75,6 +75,12 @@ def test_access_loop_stored_throughput(benchmark):
     _run(benchmark, "access_loop_stored")
 
 
+def test_access_loop_stored_tlh_throughput(benchmark):
+    """The stored-stream access loop under TLH-L1: stripped cores send
+    each run of L1 hits' hints to the LLC at once."""
+    _run(benchmark, "access_loop_stored_tlh")
+
+
 def test_trace_generator_throughput(benchmark):
     """Generate 50k records per round (numpy-batched path)."""
     _run(benchmark, "trace_gen")

@@ -34,13 +34,14 @@ per-line object to hand out).
 from __future__ import annotations
 
 from array import array
-from typing import Collection, Dict, Iterator, List, Optional, Tuple
+from typing import Collection, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..config import CacheConfig
 from ..errors import SimulationError
 from .line import EvictedLine
 from .replacement import ReplacementPolicy, make_policy
 from .replacement.lru import LRUPolicy
+from .replacement.nru import NRUPolicy
 
 
 class CacheArrayStats:
@@ -136,6 +137,13 @@ class Cache:
             self._promote = self.policy.on_hit
         else:
             self._promote = self.policy.promote
+        #: NRU's reference bitmap when a promotion is exactly "set the
+        #: line's bit" (stock NRU, un-hashed index); see promote_lines.
+        self._nru_ref = (
+            self.policy._ref
+            if type(self.policy) is NRUPolicy and not self._index_hash
+            else None
+        )
         #: recency-stamp hits can be applied inline (no policy call)
         #: when the policy uses the stock LRU-family hit update.
         self._lru_hit_fast = (
@@ -394,6 +402,41 @@ class Cache:
         self._promote(set_index, way)
         self.stats.promotions += 1
         return True
+
+    def promote_lines(self, lines: Iterable[int]) -> int:
+        """:meth:`promote` each of ``lines`` in order; returns how many
+        were resident (TLH's batched hints).
+
+        Under NRU a promotion only sets the line's reference bit, which
+        is idempotent and commutes with every other bit set, so that
+        path writes the bits directly.  Other policies take the
+        pre-bound promotion update line by line.
+        """
+        map_get = self._map_get
+        mask = self._set_mask
+        assoc = self.associativity
+        found = 0
+        if self._nru_ref is not None:
+            ref = self._nru_ref
+            for line_addr in lines:
+                way = map_get(line_addr)
+                if way is not None:
+                    ref[(line_addr & mask) * assoc + way] = 1
+                    found += 1
+        else:
+            promote = self._promote
+            hashed = self._index_hash
+            set_index_of = self.set_index_of
+            for line_addr in lines:
+                way = map_get(line_addr)
+                if way is not None:
+                    promote(
+                        set_index_of(line_addr) if hashed else line_addr & mask,
+                        way,
+                    )
+                    found += 1
+        self.stats.promotions += found
+        return found
 
     def set_dirty(self, line_addr: int) -> bool:
         """Mark a resident line dirty (e.g. a writeback landing here)."""

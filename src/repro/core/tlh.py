@@ -14,11 +14,23 @@ which only 1 / 2 / 10 / 20 % of L1 hits send hints.
 Variants are selected by which cache kinds participate:
 TLH-IL1 ``("il1",)``, TLH-DL1 ``("dl1",)``, TLH-L1 ``("il1", "dl1")``,
 TLH-L2 ``("l2",)``, TLH-L1-L2 ``("il1", "dl1", "l2")``.
+
+Hints reach the policy two ways.  The scalar hierarchy calls
+:meth:`TemporalLocalityHints.on_core_cache_hit` once per hit.  A core
+running on a stored stream's L1 filter (:meth:`repro.cpu.SimulatedCore.strip`)
+never sees its L1 hits one at a time, so it hands over each run of
+hits at once, in record order, through :meth:`TemporalLocalityHints.hint_run`.
+That is exact: within one core's hit run nothing but that core's own
+hints touches the LLC, so applying them together at the end of the
+run leaves the LLC, the sampling counter and every count as the
+per-hit calls would.  L2 hits keep the per-hit hook (they happen
+inside the hierarchy's miss path), and so does the MRU filter, which
+reads each hit's L1 recency state.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable
+from typing import FrozenSet, Iterable, Optional, Sequence
 
 from ..coherence import MessageType
 from ..errors import ConfigurationError
@@ -87,6 +99,51 @@ class TemporalLocalityHints(TLAPolicy):
             )
         if hierarchy.llc.promote(line_addr):
             self.hints_applied += 1
+
+    def batched_l1_levels(self) -> Optional[FrozenSet[str]]:
+        """The L1 kinds whose hits :meth:`hint_run` can take a run at a
+        time, or None when each hit must reach the per-hit hook (the MRU
+        filter reads the L1's state at every hit, and a subclass may
+        override :meth:`on_core_cache_hit`)."""
+        if (
+            self.mru_filter
+            or type(self).on_core_cache_hit
+            is not TemporalLocalityHints.on_core_cache_hit
+        ):
+            return None
+        return self.levels & {"il1", "dl1"}
+
+    def hint_run(self, core_id: int, lines: Sequence[int]) -> None:
+        """Send the hints of one core's run of L1 hits, in record order.
+
+        ``lines`` are the hit lines of participating kinds; the result
+        equals one :meth:`on_core_cache_hit` per line (without the MRU
+        filter, which :meth:`batched_l1_levels` excludes).  The sampling
+        counter advances record by record; counts and traffic are added
+        once.  Callers run untraced (a stripped core has no tracer), so
+        no per-hint events are emitted.
+        """
+        if self.sample_rate < 1.0:
+            rate = self.sample_rate
+            eligible = self._eligible_hits
+            fired = self._fired
+            kept = []
+            for line in lines:
+                eligible += 1
+                due = int(eligible * rate + 1e-9)
+                if due > fired:
+                    fired = due
+                    kept.append(line)
+            self._eligible_hits = eligible
+            self._fired = fired
+            self.hints_dropped += len(lines) - len(kept)
+            lines = kept
+        sent = len(lines)
+        if sent:
+            hierarchy = self.hierarchy
+            hierarchy.traffic.record(_TLH_HINT, sent)
+            self.hints_sent += sent
+            self.hints_applied += hierarchy.llc.promote_lines(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         levels = "+".join(sorted(self.levels))

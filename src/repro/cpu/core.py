@@ -9,7 +9,7 @@ shared LLC — the methodology of paper Section IV.B.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, FrozenSet, Iterator, Optional, Tuple
 
 from ..access import AccessType
 from ..cache import Cache
@@ -128,8 +128,8 @@ class SimulatedCore:
             self._exhausted = True
             self._finish()
             return False
-        instructions = timing.instructions
-        recording = self.warmup <= instructions < self._quota_end
+        before = timing.instructions
+        recording = self.warmup <= before < self._quota_end
         timing.advance(gap)
         collector = self._collector
         if collector is not None:
@@ -148,7 +148,9 @@ class SimulatedCore:
         instructions = timing.instructions
         if self.cycles_at_warmup < 0 and instructions >= self.warmup:
             self.cycles_at_warmup = timing.cycles
-        if recording and instructions >= self._quota_end:
+        if before < self._quota_end <= instructions:
+            # A record may start before warm-up and end past the
+            # window; crossing the quota finishes the core either way.
             self._finish()
         return True
 
@@ -160,23 +162,31 @@ class SimulatedCore:
         not yet advanced.  A stripped core takes its records from the
         stream's L1 filter (:mod:`repro.cpu.l1filter`): hits never
         touch the real L1, and misses restore their set's snapshot
-        into it before the unchanged ``_beyond_l1``.  Anything that
-        observes L1 hits or needs them one at a time keeps the scalar
-        loops: telemetry, a prefetcher, phase timers, a sanitizer, a
-        TLA hit hook (TLH), subclassed hierarchy access paths, and
-        L1s other than plain LRU on an un-hashed index.
+        into it before the unchanged ``_beyond_l1``.  A TLH policy's
+        L1-hit hints go to its batched form
+        (:meth:`~repro.core.tlh.TemporalLocalityHints.hint_run`), one
+        call per run of hits, before the next miss.  Anything else
+        that observes L1 hits or needs them one at a time keeps the
+        scalar loops: telemetry, a prefetcher, phase timers, a
+        sanitizer, a TLA hit hook with no batched form (TLH's MRU
+        filter reads the L1 at every hit), subclassed hierarchy access
+        paths, and L1s other than plain LRU on an un-hashed index.
         """
         # Imported here: processes that never strip (pool and bus
         # workers, the service) never load the filter module.
         from .l1filter import l1_filter, strippable
 
         hierarchy = self.hierarchy
+        hint_levels: Optional[FrozenSet[str]] = frozenset()
+        if hierarchy._tla_hit_hook is not None:
+            batched = getattr(hierarchy.tla, "batched_l1_levels", None)
+            hint_levels = None if batched is None else batched()
         if (
             self._collector is not None
             or self.prefetcher is not None
             or self._phase_timer is not None
             or hierarchy.sanitizer is not None
-            or hierarchy._tla_hit_hook is not None
+            or hint_levels is None
             or hierarchy.phase_timer is not None
             or hierarchy.tracer is not None
             or type(hierarchy).access is not BaseHierarchy.access
@@ -204,6 +214,9 @@ class SimulatedCore:
         self._l1i_stats = core.l1i.stats
         self._l1d_stats = core.l1d.stats
         self._in_miss = False
+        #: TLH's batched L1-hit hints, or None; which L1s' hits hint.
+        self._hint_run = hierarchy.tla.hint_run if hint_levels else None
+        self._hint_kinds = ("il1" in hint_levels, "dl1" in hint_levels)
         self._chunk_index = -1
         self._chunk_start = 0
         self._size = 0
@@ -236,6 +249,23 @@ class SimulatedCore:
         self._miss = 0
         self._next_miss = self._miss_at[0] if self._miss_at else chunk.size
         self._offset = 0
+        if self._hint_run is not None:
+            self._hint_lines, self._hint_before = chunk.hint_lines(
+                *self._hint_kinds, self.hierarchy.line_shift
+            )
+
+    def _send_hints(self, start: int, end: int) -> None:
+        """Hint the L1 hits among the chunk's records ``[start, end)``.
+
+        Called once per run of hits, before anything else can touch
+        the LLC: the core's next miss, another core's burst, or the
+        end of the run (see :meth:`strip`).
+        """
+        before = self._hint_before
+        first = before[start]
+        last = before[end]
+        if last > first:
+            self._hint_run(self.core_id, self._hint_lines[first:last])
 
     def _top_of(self, cycles: float) -> float:
         """Upper end of ``cycles``' binade if O(1) bursts are exact there.
@@ -310,6 +340,7 @@ class SimulatedCore:
         self.l1_filter_s = self._filter.build_s - self._filter_s0
         self._filter = None
         self._chunk = self._instr = self._ifetch = None
+        self._hint_run = self._hint_lines = self._hint_before = None
         self._miss_at = self._miss_line = self._miss_kind = self._miss_gap = None
 
     def _step_burst_stripped(
@@ -362,7 +393,8 @@ class SimulatedCore:
         or its cycles would leave the current binade (:meth:`_top_of`).
         Otherwise adds the run's instructions, ifetch/data access and
         L1 hit counts from the chunk's prefix counts, and
-        ``delta * base_cpi`` cycles in one add.
+        ``delta * base_cpi`` cycles in one add, and sends the run's
+        TLH hints.
         """
         timing = self.timing
         instr = self._instr
@@ -401,13 +433,17 @@ class SimulatedCore:
         timing.instructions = after
         timing.cycles = cycles
         self._offset = end
+        if self._hint_run is not None:
+            self._send_hints(offset, end)
         return True
 
     def _step_burst_stripped_records(
         self, count: int, stop_when_done: bool
     ) -> Tuple[int, bool, bool]:
         """Per-record stripped burst: the inline loop's semantics, with
-        L1 outcomes read from the filter instead of probed."""
+        L1 outcomes read from the filter instead of probed.  TLH hints
+        of the hits go out per run: before each miss, at a chunk's
+        end, and when the burst returns."""
         timing = self.timing
         stats = self._stats
         l1i_stats = self._l1i_stats
@@ -426,8 +462,14 @@ class SimulatedCore:
         instructions = timing.instructions
         cycles = timing.cycles
         is_done = instructions >= quota_end
+        hinting = self._hint_run is not None
+        send_hints = self._send_hints
+        hint_from = offset
         for step_index in range(count):
             if offset == size:
+                if hinting and hint_from < offset:
+                    send_hints(hint_from, offset)
+                hint_from = 0
                 self._enter_chunk()
                 offset = 0
                 size = self._size
@@ -436,6 +478,9 @@ class SimulatedCore:
                 next_miss = self._next_miss
             recording = warmup <= instructions < quota_end
             if offset == next_miss:
+                if hinting and hint_from < offset:
+                    send_hints(hint_from, offset)
+                hint_from = offset + 1
                 timing.instructions = instructions
                 timing.cycles = cycles
                 self._offset = offset
@@ -465,17 +510,18 @@ class SimulatedCore:
             if not is_done and instructions >= quota_end:
                 is_done = True
                 transitioned = True
-                if recording:
-                    timing.instructions = instructions
-                    timing.cycles = cycles
-                    self._finish()  # drain may advance the clock
-                    instructions = timing.instructions
-                    cycles = timing.cycles
+                timing.instructions = instructions
+                timing.cycles = cycles
+                self._finish()  # drain may advance the clock
+                instructions = timing.instructions
+                cycles = timing.cycles
                 if stop_when_done:
                     timing.instructions = instructions
                     timing.cycles = cycles
                     if not fell_back:
                         self._offset = offset
+                        if hinting and hint_from < offset:
+                            send_hints(hint_from, offset)
                     return step_index + 1, True, False
             if fell_back:
                 # The L1s were made exact during this miss; the caller
@@ -486,6 +532,8 @@ class SimulatedCore:
         timing.instructions = instructions
         timing.cycles = cycles
         self._offset = offset
+        if hinting and hint_from < offset:
+            send_hints(hint_from, offset)
         return count, transitioned, False
 
     def step_burst(self, count: int, stop_when_done: bool) -> Tuple[int, bool, bool]:
@@ -505,6 +553,7 @@ class SimulatedCore:
         :meth:`step`.  A core running on an L1 filter (:meth:`strip`)
         shadows this method with :meth:`_step_burst_stripped`, which
         applies runs of L1 hits in O(1) from the filter's prefix counts
+        (sending a TLH policy's hints for the whole run in one call)
         and simulates only L1 misses, until an invalidate into its L1
         or the end of the run.  Otherwise the win is hoisting
         attribute lookups and method binding out of the per-record
@@ -607,12 +656,11 @@ class SimulatedCore:
             if not is_done and instructions >= quota_end:
                 is_done = True
                 transitioned = True
-                if recording:
-                    timing.instructions = instructions
-                    timing.cycles = cycles
-                    self._finish()  # drain may advance the clock
-                    instructions = timing.instructions
-                    cycles = timing.cycles
+                timing.instructions = instructions
+                timing.cycles = cycles
+                self._finish()  # drain may advance the clock
+                instructions = timing.instructions
+                cycles = timing.cycles
                 if stop_when_done:
                     timing.instructions = instructions
                     timing.cycles = cycles
@@ -653,8 +701,7 @@ class SimulatedCore:
             if not is_done and instructions >= quota_end:
                 is_done = True
                 transitioned = True
-                if recording:
-                    self._finish()
+                self._finish()
                 if stop_when_done:
                     return step_index + 1, True, False
         return count, transitioned, False
@@ -777,12 +824,11 @@ class SimulatedCore:
             if not is_done and instructions >= quota_end:
                 is_done = True
                 transitioned = True
-                if recording:
-                    timing.instructions = instructions
-                    timing.cycles = cycles
-                    self._finish()  # drain may advance the clock
-                    instructions = timing.instructions
-                    cycles = timing.cycles
+                timing.instructions = instructions
+                timing.cycles = cycles
+                self._finish()  # drain may advance the clock
+                instructions = timing.instructions
+                cycles = timing.cycles
                 if stop_when_done:
                     timing.instructions = instructions
                     timing.cycles = cycles
@@ -827,8 +873,7 @@ class SimulatedCore:
             if not is_done and instructions >= quota_end:
                 is_done = True
                 transitioned = True
-                if recording:
-                    self._finish()
+                self._finish()
                 if stop_when_done:
                     return step_index + 1, True, False
         return count, transitioned, False

@@ -167,6 +167,29 @@ class FilterChunk:
         _np.cumsum(kind_codes == CODE_IFETCH, out=ifetch[1:])
         return array("q", instr.tobytes()), array("q", ifetch.tobytes())
 
+    def hint_lines(
+        self, ifetch: bool, data: bool, line_shift: int
+    ) -> Tuple[array, array]:
+        """Lines of the L1 hits that send a TLH hint, and how many come
+        before each offset.
+
+        ``ifetch`` / ``data`` select whose hits hint (TLH-IL1, -DL1,
+        -L1); misses never do.  The hits among records ``[a, b)`` hint
+        ``lines[before[a]:before[b]]``, in record order.
+        """
+        _, kind_codes, addresses = self.records
+        if ifetch and data:
+            hinted = _np.ones(self.size, dtype=bool)
+        elif ifetch:
+            hinted = kind_codes == CODE_IFETCH
+        else:
+            hinted = kind_codes != CODE_IFETCH
+        hinted[self.misses_at] = False
+        before = _np.zeros(self.size + 1, dtype=_np.int64)
+        _np.cumsum(hinted, out=before[1:])
+        lines = addresses[hinted] >> line_shift
+        return array("q", lines.tobytes()), array("q", before.tobytes())
+
     def misses(self) -> Tuple[List[int], List[int], List[AccessType], List[int]]:
         """Each miss's offset, line address, access kind and gap."""
         gaps, kind_codes, _ = self.records

@@ -38,8 +38,9 @@ from ..rules import Finding
 
 #: qualname suffixes registered as hot by default: the packed
 #: tag-store access closures, the burst loops (scalar and on the L1
-#: filter), the L1 filter builder, the vectorised column-chunk trace
-#: generator and the trace store's replay loop.
+#: filter), the L1 filter builder, TLH's batched hints (per-chunk hint
+#: lines, per-run sampling and LLC promotion), the vectorised
+#: column-chunk trace generator and the trace store's replay loop.
 DEFAULT_HOT_SUFFIXES = (
     "Cache.access",
     "Cache._make_lru_access",
@@ -51,6 +52,9 @@ DEFAULT_HOT_SUFFIXES = (
     "SimulatedCore._step_burst_stripped_records",
     "SimulatedCore._hit_run",
     "l1filter._drive",
+    "FilterChunk.hint_lines",
+    "TemporalLocalityHints.hint_run",
+    "Cache.promote_lines",
     "mixture_chunks",
     "StoredStream.packed_chunks",
 )

@@ -99,8 +99,11 @@ def aggregate_host(
     ``hosts`` are ``RunSummary.host`` dicts; ``None`` entries (cached
     or pre-perf summaries) are skipped but the executed-job rates stay
     correct because rates are recomputed from the summed totals, not
-    averaged.  With the sweep's ``wall_s`` and worker count, the pool
-    utilisation ``busy_s / (workers * wall_s)`` is included.
+    averaged.  ``stripped_frac`` is the share of simulated records that
+    ran on an L1 filter (``stripped_records / accesses``), next to the
+    filter build seconds ``l1_filter_s``.  With the sweep's ``wall_s``
+    and worker count, the pool utilisation ``busy_s / (workers *
+    wall_s)`` is included.
     """
     if workers < 1:
         raise ConfigurationError("workers must be >= 1")
@@ -109,6 +112,8 @@ def aggregate_host(
     jobs = 0
     instructions = 0
     accesses = 0
+    stripped_records = 0
+    l1_filter_s = 0.0
     busy_s = 0.0
     for host in hosts:
         if not host:
@@ -116,6 +121,8 @@ def aggregate_host(
         jobs += 1
         instructions += int(host.get("instructions", 0))
         accesses += int(host.get("accesses", 0))
+        stripped_records += int(host.get("stripped_records", 0))
+        l1_filter_s += float(host.get("l1_filter_s", 0.0))
         busy_s += float(host.get("job_wall_s", host.get("wall_s", 0.0)))
     aggregate: Dict[str, float] = {
         "jobs": jobs,
@@ -124,6 +131,9 @@ def aggregate_host(
         "busy_s": busy_s,
         "instructions_per_s": host_rate(instructions, busy_s),
         "accesses_per_s": host_rate(accesses, busy_s),
+        "stripped_records": stripped_records,
+        "l1_filter_s": l1_filter_s,
+        "stripped_frac": stripped_records / accesses if accesses else 0.0,
     }
     if wall_s is not None and wall_s > 0:
         aggregate["wall_s"] = wall_s

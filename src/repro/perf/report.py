@@ -54,6 +54,11 @@ def format_host_report(
         f"{format_rate(aggregate.get('accesses_per_s', 0.0))} accesses/s "
         f"(busy {aggregate.get('busy_s', 0.0):.1f}s)"
     )
+    if "stripped_frac" in aggregate:
+        lines.append(
+            f"  l1 filter: {100 * aggregate['stripped_frac']:.1f}% of records "
+            f"stripped (filter build {aggregate.get('l1_filter_s', 0.0):.2f}s)"
+        )
     if "utilisation" in aggregate:
         lines.append(f"  pool utilisation: {100 * aggregate['utilisation']:.0f}%")
     if phases:

@@ -47,6 +47,9 @@ FLOOR_ACCESS_LOOP = 30_000.0
 #: the access loop on stored streams with warm L1 filters simulates
 #: only L1 misses, so its floor sits above the scalar loop's.
 FLOOR_ACCESS_LOOP_STORED = 60_000.0
+#: the same with TLH-L1, whose stripped cores also send every L1 hit's
+#: LLC hint (batched per run of hits).
+FLOOR_ACCESS_LOOP_STORED_TLH = 40_000.0
 FLOOR_TRACE_GEN = 200_000.0
 FLOOR_CACHE_ARRAY = 200_000.0
 #: deliberately low: every record walks the full miss path (LLC miss,
@@ -109,11 +112,12 @@ def access_loop_phases_round() -> int:
     return _access_loop_round(phase_timer=PhaseTimer())
 
 
-def _access_loop_stored_round(streams) -> int:
+def _access_loop_stored_round(streams, tla: str = "none") -> int:
     from repro import CMPSimulator, SimConfig, baseline_hierarchy
+    from repro.config import tla_preset
 
     config = SimConfig(
-        hierarchy=baseline_hierarchy(2, scale=SCALE),
+        hierarchy=baseline_hierarchy(2, tla=tla_preset(tla), scale=SCALE),
         instruction_quota=ACCESS_LOOP_INSTRUCTIONS // 2,
     )
     result = CMPSimulator(
@@ -138,6 +142,11 @@ def _stored_mix10_streams():
 def access_loop_stored_round() -> int:
     """``access_loop``'s work on stored streams with warm L1 filters."""
     return _access_loop_stored_round(_stored_mix10_streams())
+
+
+def access_loop_stored_tlh_round() -> int:
+    """``access_loop_stored`` under TLH-L1 (batched L1-hit hints)."""
+    return _access_loop_stored_round(_stored_mix10_streams(), tla="tlh-l1")
 
 
 def trace_gen_round() -> int:
@@ -269,6 +278,14 @@ SCENARIOS: Dict[str, Scenario] = {
             floor=FLOOR_ACCESS_LOOP_STORED,
             round_fn=access_loop_stored_round,
             description="access loop on stored streams, L1 filters warm",
+        ),
+        Scenario(
+            name="access_loop_stored_tlh",
+            metric="instructions_per_s",
+            work=ACCESS_LOOP_INSTRUCTIONS,
+            floor=FLOOR_ACCESS_LOOP_STORED_TLH,
+            round_fn=access_loop_stored_tlh_round,
+            description="stored-stream access loop under TLH-L1, filters warm",
         ),
         Scenario(
             name="trace_gen",

@@ -1,8 +1,12 @@
 """Unit tests for the set-associative Cache array."""
 
+import random
+from array import array
+
 import pytest
 
 from repro.cache import Cache
+from repro.cache.replacement import available_policies
 from repro.config import CacheConfig
 from repro.errors import SimulationError
 
@@ -202,3 +206,45 @@ class TestIntrospection:
         cache.access(0)
         cache.access(1)
         assert cache.stats.hit_rate == pytest.approx(0.5)
+
+
+def full_state(cache):
+    """Tag store, counters and every attribute of the policy."""
+    policy = {
+        name: bytes(value) if isinstance(value, (array, bytearray)) else value
+        for name, value in vars(cache.policy).items()
+    }
+    return (
+        cache._addrs.tobytes(),
+        bytes(cache._valid),
+        bytes(cache._dirty),
+        dict(cache._map),
+        cache.stats.snapshot(),
+        policy,
+        [cache.policy.victim_order(s) for s in range(cache.num_sets)],
+    )
+
+
+@pytest.mark.parametrize("replacement", available_policies())
+@pytest.mark.parametrize("index_hash", [False, True])
+def test_promote_lines_equals_sequential_promote(replacement, index_hash):
+    """TLH's batched hints promote exactly as one ``promote`` per line."""
+    config = CacheConfig(
+        size_bytes=16 * 4 * 64,
+        associativity=4,
+        replacement=replacement,
+        name="llc",
+        index_hash=index_hash,
+    )
+    rng = random.Random(replacement)
+    batched, sequential = Cache(config), Cache(config)
+    for _ in range(6):
+        accesses = [(rng.randrange(200), rng.random() < 0.3) for _ in range(40)]
+        for cache in (batched, sequential):
+            for line, dirty in accesses:
+                if not cache.access(line):
+                    cache.fill(line, dirty=dirty)
+        lines = [rng.randrange(200) for _ in range(rng.randrange(0, 60))]
+        found = batched.promote_lines(array("q", lines))
+        assert found == sum(sequential.promote(line) for line in lines)
+        assert full_state(batched) == full_state(sequential)

@@ -7,11 +7,15 @@ dirty arrays and the same L1 array counters.  The oracle drives tiny
 machines whose LLCs are small enough that back-invalidates and ECI hit
 L1-resident lines (including during the invalidated core's own miss),
 with warm-up and quota boundaries anywhere in a burst and timing
-models whose cycle sums do or do not stay exact.
+models whose cycle sums do or do not stay exact.  TLH runs add the
+hints: a stripped core sends each run of L1 hits' hints at once, and
+the LLC's replacement state, the traffic counts and the policy's
+sampling counter and hint counts must come out as the per-hit hook's.
 """
 
 import dataclasses
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -24,20 +28,23 @@ from repro.config import (
     SimConfig,
     TimingConfig,
     TLAConfig,
+    tla_preset,
 )
 from repro.cpu import CMPSimulator, SimulatedCore
+from repro.core.tlh import TemporalLocalityHints
 from repro.cpu import l1filter
 from repro.errors import SimulationError
 from repro.experiments.runner import ExperimentSettings, build_job
 from repro.orchestrate import Orchestrator, ResultCache
 from repro.orchestrate.job import execute_job, job_key
 from repro.workloads import WorkloadMix, core_address_offset
+from repro.workloads import store
 from repro.workloads.store import StoredStream, retaining
-from repro.workloads.synthetic import MixtureProfile, RegionSpec
+from repro.workloads.synthetic import MixtureProfile, RegionSpec, mixture_chunks
 
 KB = 1024
 
-#: the five hierarchy/TLA configurations that strip (TLH never does).
+#: the five hierarchy/TLA configurations of Fig. 9 besides TLH.
 CONFIGS = (
     ("inclusive", "none"),
     ("inclusive", "eci"),
@@ -63,16 +70,30 @@ PROFILE = st.builds(
 )
 
 
-def machine(mode, tla, llc_bytes, l1_ways=4):
-    """1 KB L1s and a 2 KB L2 in front of a 2-8 KB LLC."""
+#: every TLH variant of Fig. 5, and TLH-L1 sampled at 1-20 % of hits.
+TLH_CONFIGS = st.one_of(
+    st.sampled_from(["tlh-il1", "tlh-dl1", "tlh-l1", "tlh-l2", "tlh-l1-l2"]).map(
+        tla_preset
+    ),
+    st.floats(0.01, 0.2).map(
+        lambda rate: TLAConfig(policy="tlh", levels=("il1", "dl1"), sample_rate=rate)
+    ),
+)
+
+
+def machine(mode, tla, llc_bytes, l1_ways=4, llc_replacement="nru"):
+    """1 KB L1s and a 2 KB L2 in front of a 2-8 KB LLC.
+
+    ``tla`` is a policy name or a :class:`TLAConfig`.
+    """
     return HierarchyConfig(
         num_cores=2,
         mode=mode,
         l1i=CacheConfig(1 * KB, l1_ways, name="L1I"),
         l1d=CacheConfig(1 * KB, l1_ways, name="L1D"),
         l2=CacheConfig(2 * KB, 8, name="L2"),
-        llc=CacheConfig(llc_bytes, 8, replacement="nru", name="LLC"),
-        tla=TLAConfig(policy=tla),
+        llc=CacheConfig(llc_bytes, 8, replacement=llc_replacement, name="LLC"),
+        tla=tla if isinstance(tla, TLAConfig) else TLAConfig(policy=tla),
     )
 
 
@@ -85,10 +106,15 @@ def cache_state(cache):
         "map": dict(cache._map),
         "stats": cache.stats.snapshot(),
     }
-    for name in ("_stamp", "_clock", "_cold"):
+    for name in ("_stamp", "_clock", "_cold", "_ref"):
         if hasattr(policy, name):
-            state[name] = getattr(policy, name).tobytes()
+            state[name] = bytes(getattr(policy, name))
+    state["last_hit_was_mru"] = policy.last_hit_was_mru
     return state
+
+
+#: TLH's hint counts and sampling counter.
+TLH_COUNTERS = ("hints_sent", "hints_dropped", "hints_applied", "_eligible_hits", "_fired")
 
 
 def observe(simulator, result):
@@ -110,6 +136,11 @@ def observe(simulator, result):
             (core.instructions, core.cycles, core.cycles_at_warmup, core.cycles_at_quota)
             for core in simulator.cores
         ],
+        "tla": {
+            name: getattr(hierarchy.tla, name)
+            for name in TLH_COUNTERS
+            if hasattr(hierarchy.tla, name)
+        },
     }
 
 
@@ -177,6 +208,74 @@ class TestOracle:
         host = compare(config, streams_for(profiles, seed))
         assert host is None or host["stripped_records"] > 0
 
+    @given(
+        profiles=st.tuples(PROFILE, PROFILE),
+        seed=st.integers(0, 2**16),
+        tla=TLH_CONFIGS,
+        mode=st.sampled_from(["inclusive", "non_inclusive"]),
+        llc_replacement=st.sampled_from(["nru", "lru"]),
+        llc_bytes=st.sampled_from([2 * KB, 4 * KB, 8 * KB]),
+        l1_ways=st.sampled_from([1, 2, 4]),
+        quota=st.integers(1, 9_000),
+        warmup=st.integers(0, 4_000),
+        base_cpi=st.sampled_from([0.25, 0.5, 1.0, 0.1]),
+    )
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_tlh_stripped_equals_scalar(
+        self,
+        profiles,
+        seed,
+        tla,
+        mode,
+        llc_replacement,
+        llc_bytes,
+        l1_ways,
+        quota,
+        warmup,
+        base_cpi,
+    ):
+        """Batched hit hints against the per-hit hook: results, traffic,
+        hint counts, LLC arrays and replacement state, promotions."""
+        config = SimConfig(
+            hierarchy=machine(mode, tla, llc_bytes, l1_ways, llc_replacement),
+            timing=TimingConfig(base_cpi=base_cpi),
+            instruction_quota=quota,
+            warmup_instructions=warmup,
+        )
+        host = compare(config, streams_for(profiles, seed))
+        assert host is None or host["stripped_records"] > 0
+
+    def test_tlh_hints_go_out_per_run(self, monkeypatch):
+        """A non-inclusive TLH-L1 run strips to the end: its L1 hits
+        reach the LLC only through ``hint_run``, in runs."""
+        runs = []
+        original = TemporalLocalityHints.hint_run
+
+        def counting(policy, core_id, lines):
+            runs.append(len(lines))
+            original(policy, core_id, lines)
+
+        monkeypatch.setattr(TemporalLocalityHints, "hint_run", counting)
+        monkeypatch.setattr(
+            TemporalLocalityHints, "on_core_cache_hit", refuse_l1_hint(
+                TemporalLocalityHints.on_core_cache_hit
+            )
+        )
+        profile = MixtureProfile(code_lines=12, regions=(RegionSpec(40, 1.0),))
+        config = SimConfig(
+            hierarchy=machine("non_inclusive", tla_preset("tlh-l1"), 8 * KB),
+            instruction_quota=4_000,
+            warmup_instructions=1_000,
+        )
+        simulator, result = simulate(config, streams_for((profile, profile), 5), True)
+        assert result.host["materialized_at"] == [None, None]
+        assert max(runs) > 1
+        assert sum(runs) == simulator.hierarchy.tla.hints_sent
+
     def test_invalidates_during_own_miss_and_of_the_other_core(self, monkeypatch):
         """A 2 KB inclusive LLC: back-invalidates hit both cores' L1s,
         some raised by the invalidated core's own miss."""
@@ -243,6 +342,53 @@ class TestOracle:
         assert applied.count(True) > applied.count(False) > 0
 
 
+def refuse_l1_hint(on_core_cache_hit):
+    """``on_core_cache_hit`` that fails on an L1 kind (L2 hits pass)."""
+
+    def checked(policy, core_id, kind, line_addr):
+        assert kind == "l2", f"per-hit {kind} hint on a stripped core"
+        on_core_cache_hit(policy, core_id, kind, line_addr)
+
+    return checked
+
+
+def gap_chunks(gap, at, *key):
+    """Stream ``key``'s chunks with record ``at`` of the first given ``gap``."""
+    chunks = mixture_chunks(*key)
+    gaps, kind_codes, addresses = next(chunks)
+    gaps = gaps.astype("int64")
+    gaps[at] = gap
+    yield gaps, kind_codes, addresses
+    yield from chunks
+
+
+class TestRecordOverWholeWindow:
+    """A record that starts before warm-up and ends past the quota:
+    crossing the quota finishes the core however the record began."""
+
+    @pytest.mark.parametrize("at", [0, 5, 300])
+    @pytest.mark.parametrize("tla", ["none", "tlh-l1"])
+    def test_ipc_is_finite_and_paths_agree(self, monkeypatch, at, tla):
+        profile = MixtureProfile(code_lines=12, regions=(RegionSpec(40, 1.0),))
+        warmup, quota = 800, 1_500
+        monkeypatch.setattr(
+            store,
+            "mixture_chunks",
+            lambda *key: gap_chunks(warmup + quota + 50, at, *key),
+        )
+        config = SimConfig(
+            hierarchy=machine("non_inclusive", tla_preset(tla), 8 * KB),
+            instruction_quota=quota,
+            warmup_instructions=warmup,
+        )
+        scalar = simulate(config, streams_for((profile, profile), 9), False)
+        simulator, result = simulate(config, streams_for((profile, profile), 9), True)
+        assert result.host["stripped_records"] > 0
+        assert observe(simulator, result) == observe(*scalar)
+        for core in simulator.cores:
+            assert math.isfinite(core.ipc())
+
+
 SCALE = 0.0625
 PAIR = WorkloadMix("STRIP_PAIR", ("dea", "gob"))  # CCF + LLCT
 
@@ -290,9 +436,32 @@ class TestJobs:
             del first.host[name]
         assert cache_bytes(first, job) == with_fields
 
-    def test_tlh_stays_scalar(self):
+    @pytest.mark.parametrize("tla", ["tlh-l1", "tlh-dl1", "tlh-l1-l2", "tlh-l1-s0.1"])
+    def test_tlh_strips(self, tla):
+        tla_config = (
+            TLAConfig(policy="tlh", levels=("il1", "dl1"), sample_rate=0.1)
+            if tla == "tlh-l1-s0.1"
+            else None
+        )
         job = build_job(
-            ExperimentSettings(scale=SCALE, quota=3_000, warmup=1_000), PAIR, tla="tlh-l1"
+            ExperimentSettings(scale=SCALE, quota=3_000, warmup=1_000),
+            PAIR,
+            tla=tla,
+            tla_config=tla_config,
+        )
+        first, second, scalar = stripped_and_scalar(job)
+        assert first.host["stripped_records"] > 0
+        assert scalar.host["stripped_records"] == 0
+        want = cache_bytes(scalar, job)
+        assert cache_bytes(first, job) == want == cache_bytes(second, job)
+
+    def test_mru_filtered_tlh_stays_scalar(self):
+        """The MRU filter reads the L1's recency at every hit."""
+        job = build_job(
+            ExperimentSettings(scale=SCALE, quota=3_000, warmup=1_000),
+            PAIR,
+            tla="tlh-l1-mru",
+            tla_config=TLAConfig(policy="tlh", levels=("il1", "dl1"), mru_filter=True),
         )
         first, _, scalar = stripped_and_scalar(job)
         assert first.host["stripped_records"] == 0

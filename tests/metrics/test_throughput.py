@@ -143,6 +143,14 @@ class TestAggregateHost:
         assert aggregate["instructions_per_s"] == pytest.approx(20_000.0)
         assert aggregate["accesses_per_s"] == pytest.approx(24_000.0)
 
+    def test_stripped_share_of_records(self):
+        stripped = dict(self.digest(), stripped_records=9_000, l1_filter_s=0.25)
+        aggregate = aggregate_host([stripped, self.digest(), None])
+        assert aggregate["stripped_records"] == 9_000
+        assert aggregate["l1_filter_s"] == pytest.approx(0.25)
+        assert aggregate["stripped_frac"] == pytest.approx(9_000 / 24_000)
+        assert aggregate_host([])["stripped_frac"] == 0.0
+
     def test_none_digests_skipped(self):
         """Cached summaries carry ``host=None`` and must not distort rates."""
         aggregate = aggregate_host([None, self.digest(), None, {}])

@@ -51,6 +51,12 @@ class TestFormatHostReport:
         assert "pool utilisation: 67%" in text
         assert "sim_loop" in text
 
+    def test_stripped_share(self):
+        text = format_host_report(
+            {"jobs": 2, "stripped_frac": 0.834, "l1_filter_s": 0.5}
+        )
+        assert "l1 filter: 83.4% of records stripped" in text
+
     def test_minimal_aggregate(self):
         text = format_host_report({"jobs": 0})
         assert "jobs=0" in text

@@ -19,7 +19,7 @@ from ..config import SimConfig
 from ..errors import SimulationError
 from ..hierarchy import BaseHierarchy, CoreAccessStats, build_hierarchy
 from ..hierarchy.mshr import MSHRFile
-from ..perf.phase import PHASE_SIM_LOOP, PhaseTimer
+from ..perf.phase import PHASE_SIM_LOOP, PhaseTimer, running
 from ..telemetry import (
     IntervalCollector,
     IntervalSeries,
@@ -146,10 +146,11 @@ class CMPSimulator:
             for core in self.cores:
                 core.attach_collector(self._collector)
         # Host-side phase timer: attributes the simulator's own wall
-        # time to phases (trace_gen / l1_access / llc_access / ...).
-        # A disabled (or absent) timer installs nothing, so the demand
-        # path keeps its ``is None`` fast branch; attaching never
-        # changes simulated statistics.
+        # time to phases (trace_gen / l1_access / llc_access / ...),
+        # at L1-miss and chunk grain so every step loop runs as it
+        # does untimed.  A disabled (or absent) timer installs nothing,
+        # so the miss path keeps its ``is None`` fast branch;
+        # attaching never changes simulated statistics.
         self.phase_timer: Optional[PhaseTimer] = phase_timer
         if phase_timer is not None and phase_timer.enabled:
             self.hierarchy.phase_timer = phase_timer
@@ -164,6 +165,29 @@ class CMPSimulator:
                 structural invariant check every N steps (slow; for
                 tests).
         """
+        timer = self.phase_timer
+        wall_start = time.perf_counter()
+        if timer is not None:
+            # sim_loop covers the whole run (L1 hits, the election
+            # loop, bookkeeping); the timed phases nest inside it.
+            timer.enter(PHASE_SIM_LOOP)
+        with running(timer):
+            steps = self._run_loop(check_invariants_every)
+        if check_invariants_every:
+            self.hierarchy.check_invariants()
+        if self.hierarchy.sanitizer is not None:
+            self.hierarchy.sanitizer.final_check()
+        result = self._collect()
+        if timer is not None:
+            timer.exit()
+        result.host = self._host_digest(
+            time.perf_counter() - wall_start, steps
+        )
+        return result
+
+    def _run_loop(self, check_invariants_every: int) -> int:
+        """Elect and step cores until every quota is met; returns the
+        records executed."""
         # ``active`` cores still have trace left to execute; ``remaining``
         # counts cores that have not yet finished their quota.  Cores
         # past their quota stay active so they keep competing for the
@@ -177,14 +201,10 @@ class CMPSimulator:
         remaining = sum(1 for core in self.cores if not core.done)
         burst = 1 if check_invariants_every else 8
         steps = 0
-        timer = self.phase_timer
-        wall_start = time.perf_counter()
         if not check_invariants_every:
             for core, stream in zip(self.cores, self._streams):
                 if stream is not None:
                     core.strip(stream)
-        if timer is not None:
-            timer.enter(PHASE_SIM_LOOP)
         while remaining:
             # Earliest-in-time election; the unrolled one- and two-core
             # forms pick the same core ``min`` would (first on ties)
@@ -217,17 +237,7 @@ class CMPSimulator:
                 self.hierarchy.check_invariants()
         for core in self.cores:
             core.finish_strip()
-        if timer is not None:
-            timer.exit()
-        if check_invariants_every:
-            self.hierarchy.check_invariants()
-        if self.hierarchy.sanitizer is not None:
-            self.hierarchy.sanitizer.final_check()
-        result = self._collect()
-        result.host = self._host_digest(
-            time.perf_counter() - wall_start, steps
-        )
-        return result
+        return steps
 
     def _host_digest(self, wall_s: float, steps: int) -> Dict[str, object]:
         """Build the host-performance digest for this execution."""

@@ -18,7 +18,6 @@ from ..errors import SimulationError
 from ..hierarchy import HIT_LLC, BaseHierarchy
 from ..hierarchy.levels import CoreCaches
 from ..hierarchy.mshr import MSHRFile
-from ..perf.phase import PHASE_L1_ACCESS, PHASE_TRACE_GEN
 from ..prefetch import make_prefetcher
 from ..workloads.trace import TraceRecord
 from .timing import CoreTimingModel
@@ -62,8 +61,8 @@ class SimulatedCore:
         #: interval collector hook; None (the default) keeps the step
         #: loop free of telemetry work.
         self._collector = None
-        #: host phase-timer hook; None (the default) keeps the trace
-        #: draw free of timing work.
+        #: host phase timer; None (the default) keeps L1 filter builds
+        #: untimed (the hierarchy and trace chunks time themselves).
         self._phase_timer = None
         #: the L1 filter this core runs on, or None (see :meth:`strip`).
         self._filter = None
@@ -80,7 +79,7 @@ class SimulatedCore:
         self._collector = collector
 
     def attach_phase_timer(self, timer) -> None:
-        """Install the host phase timer (wraps the trace draw)."""
+        """Install the host phase timer (charges L1 filter builds)."""
         self._phase_timer = timer
 
     @property
@@ -114,16 +113,8 @@ class SimulatedCore:
         generators are the normal case for experiments).
         """
         timing = self.timing
-        timer = self._phase_timer
         try:
-            if timer is not None:
-                timer.enter(PHASE_TRACE_GEN)
-                try:
-                    gap, kind, address = next(self.trace)
-                finally:
-                    timer.exit()
-            else:
-                gap, kind, address = next(self.trace)
+            gap, kind, address = next(self.trace)
         except StopIteration:
             self._exhausted = True
             self._finish()
@@ -165,15 +156,18 @@ class SimulatedCore:
         into it before the unchanged ``_beyond_l1``.  A TLH policy's
         L1-hit hints go to its batched form
         (:meth:`~repro.core.tlh.TemporalLocalityHints.hint_run`), one
-        call per run of hits, before the next miss.  Anything else
-        that observes L1 hits or needs them one at a time keeps the
-        scalar loops: telemetry, a prefetcher, phase timers, a
-        sanitizer, a TLA hit hook with no batched form (TLH's MRU
-        filter reads the L1 at every hit), subclassed hierarchy access
-        paths, and L1s other than plain LRU on an un-hashed index.
+        call per run of hits, before the next miss.  A phase timer
+        strips too: it times each miss inside ``_beyond_l1`` and each
+        filter chunk's build, never a hit.  Anything else that observes
+        L1 hits or needs them one at a time keeps the scalar loops:
+        telemetry, a prefetcher, a sanitizer, a TLA hit hook with no
+        batched form (TLH's MRU filter reads the L1 at every hit),
+        subclassed hierarchy access paths, and L1s other than plain
+        LRU on an un-hashed index.
         """
-        # Imported here: processes that never strip (pool and bus
-        # workers, the service) never load the filter module.
+        # Imported here: processes that store no streams (pool and
+        # bus workers, hence every service job) never load the filter
+        # module.
         from .l1filter import l1_filter, strippable
 
         hierarchy = self.hierarchy
@@ -184,10 +178,8 @@ class SimulatedCore:
         if (
             self._collector is not None
             or self.prefetcher is not None
-            or self._phase_timer is not None
             or hierarchy.sanitizer is not None
             or hint_levels is None
-            or hierarchy.phase_timer is not None
             or hierarchy.tracer is not None
             or type(hierarchy).access is not BaseHierarchy.access
             or type(hierarchy)._beyond_l1 is not BaseHierarchy._beyond_l1
@@ -237,7 +229,9 @@ class SimulatedCore:
         """Move to the filter's next chunk (offset 0)."""
         self._chunk_start += self._size
         self._chunk_index += 1
-        chunk = self._chunk = self._filter.chunk(self._chunk_index)
+        chunk = self._chunk = self._filter.chunk(
+            self._chunk_index, self._phase_timer
+        )
         self._size = chunk.size
         self._instr, self._ifetch = chunk.prefixes()
         (
@@ -557,20 +551,18 @@ class SimulatedCore:
         and simulates only L1 misses, until an invalidate into its L1
         or the end of the run.  Otherwise the win is hoisting
         attribute lookups and method binding out of the per-record
-        loop, and — when no hook of any kind is attached — probing the
-        L1 inline so the common L1-hit record never leaves this frame.
-        Attached telemetry / prefetcher hooks fall back to the plain
-        loop; a phase timer gets its own burst loop.
+        loop, and — when no hook observes L1 hits — probing the L1
+        inline so the common L1-hit record never leaves this frame.  A
+        phase timer observes only L1 misses (inside ``_beyond_l1``), so
+        it keeps the inline loop.  Attached telemetry / prefetcher
+        hooks fall back to per-record :meth:`step` calls.
         """
         if self._collector is not None or self.prefetcher is not None:
             return self._step_burst_slow(count, stop_when_done)
-        if self._phase_timer is not None:
-            return self._step_burst_timer(count, stop_when_done)
         hierarchy = self.hierarchy
         if (
             hierarchy.sanitizer is not None
             or hierarchy._tla_hit_hook is not None
-            or hierarchy.phase_timer is not None
             or type(hierarchy).access is not BaseHierarchy.access
         ):
             return self._step_burst_plain(count, stop_when_done)
@@ -691,178 +683,6 @@ class SimulatedCore:
                 self._exhausted = True
                 self._finish()
                 return step_index + 1, transitioned or not is_done, True
-            instructions = timing.instructions
-            recording = warmup <= instructions < quota_end
-            level = access(core_id, address, kind, record_stats=recording)
-            step_account(gap, level, kind)
-            instructions = timing.instructions
-            if self.cycles_at_warmup < 0 and instructions >= warmup:
-                self.cycles_at_warmup = timing.cycles
-            if not is_done and instructions >= quota_end:
-                is_done = True
-                transitioned = True
-                self._finish()
-                if stop_when_done:
-                    return step_index + 1, True, False
-        return count, transitioned, False
-
-    def _step_burst_timer(
-        self, count: int, stop_when_done: bool
-    ) -> Tuple[int, bool, bool]:
-        """Burst loop for phase-timed runs: identical semantics to the
-        plain loop plus the ``trace_gen`` phase bracket around each
-        trace draw (the hierarchy brackets its own phases inside
-        ``access``).
-
-        When the hierarchy is hook-free and shares this core's timer,
-        the L1 probe runs inline here with the same ``l1_access``
-        bracket ``BaseHierarchy.access`` would have opened, so the
-        phase stream (and every counter) is bit-identical to the
-        fallback loop below while the common L1-hit record never
-        leaves this frame.
-        """
-        hierarchy = self.hierarchy
-        timer = self._phase_timer
-        if (
-            hierarchy.sanitizer is None
-            and hierarchy._tla_hit_hook is None
-            and hierarchy.phase_timer is timer
-            and type(hierarchy).access is BaseHierarchy.access
-        ):
-            core = hierarchy.cores[self.core_id]
-            if (
-                type(core.l1i).access is Cache.access
-                and type(core.l1d).access is Cache.access
-            ):
-                return self._step_burst_timer_inline(
-                    count, stop_when_done, core, timer
-                )
-        return self._step_burst_timer_plain(count, stop_when_done)
-
-    def _step_burst_timer_inline(
-        self, count: int, stop_when_done: bool, core, timer
-    ) -> Tuple[int, bool, bool]:
-        """Inline-L1 burst with phase brackets (see _step_burst_timer)."""
-        timing = self.timing
-        timer_enter = timer.enter
-        timer_exit = timer.exit
-        timer_switch = timer.switch
-        trace_next = self.trace.__next__
-        hierarchy = self.hierarchy
-        beyond_l1 = hierarchy._beyond_l1
-        step_account = timing.step_account
-        core_id = self.core_id
-        stats = hierarchy.core_stats[core_id]
-        l1i_access = core.l1i.access
-        l1d_access = core.l1d.access
-        line_shift = hierarchy.line_shift
-        base_cpi = timing.timing.base_cpi
-        warmup = self.warmup
-        quota_end = self._quota_end
-        transitioned = False
-        instructions = timing.instructions
-        cycles = timing.cycles
-        is_done = self._exhausted or instructions >= quota_end
-        for step_index in range(count):
-            timer_enter(PHASE_TRACE_GEN)
-            try:
-                gap, kind, address = trace_next()
-            except StopIteration:
-                timer_exit()
-                timing.instructions = instructions
-                timing.cycles = cycles
-                self._exhausted = True
-                self._finish()
-                return step_index + 1, transitioned or not is_done, True
-            recording = warmup <= instructions < quota_end
-            line_addr = address >> line_shift
-            # One fused transition (trace_gen -> l1_access) instead of
-            # exit + enter: half the clock reads per record.
-            timer_switch(PHASE_L1_ACCESS)
-            if kind is _IFETCH:
-                is_ifetch = True
-                is_write = False
-                if recording:
-                    stats.l1i_accesses += 1
-                hit = l1i_access(line_addr)
-                if not hit and recording:
-                    stats.l1i_misses += 1
-            else:
-                is_ifetch = False
-                is_write = kind is _STORE
-                if recording:
-                    stats.l1d_accesses += 1
-                hit = l1d_access(line_addr, write=is_write)
-                if not hit and recording:
-                    stats.l1d_misses += 1
-            if hit:
-                timer_exit()
-                if gap > 0:
-                    instructions += gap
-                    cycles += gap * base_cpi
-                instructions += 1
-                cycles += base_cpi
-            else:
-                # _beyond_l1 exits the still-open l1_access phase
-                # itself (and brackets llc_access), exactly as it does
-                # when called from BaseHierarchy.access.
-                timing.instructions = instructions
-                timing.cycles = cycles
-                level = beyond_l1(
-                    core_id,
-                    core,
-                    stats if recording else None,
-                    line_addr,
-                    is_ifetch,
-                    is_write,
-                )
-                step_account(gap, level, kind)
-                instructions = timing.instructions
-                cycles = timing.cycles
-            if self.cycles_at_warmup < 0 and instructions >= warmup:
-                self.cycles_at_warmup = cycles
-            if not is_done and instructions >= quota_end:
-                is_done = True
-                transitioned = True
-                timing.instructions = instructions
-                timing.cycles = cycles
-                self._finish()  # drain may advance the clock
-                instructions = timing.instructions
-                cycles = timing.cycles
-                if stop_when_done:
-                    timing.instructions = instructions
-                    timing.cycles = cycles
-                    return step_index + 1, True, False
-        timing.instructions = instructions
-        timing.cycles = cycles
-        return count, transitioned, False
-
-    def _step_burst_timer_plain(
-        self, count: int, stop_when_done: bool
-    ) -> Tuple[int, bool, bool]:
-        """Hook-compatible phase-timed burst (hoisted bindings only)."""
-        timing = self.timing
-        timer = self._phase_timer
-        timer_enter = timer.enter
-        timer_exit = timer.exit
-        trace_next = self.trace.__next__
-        access = self.hierarchy.access
-        step_account = timing.step_account
-        core_id = self.core_id
-        warmup = self.warmup
-        quota_end = self._quota_end
-        transitioned = False
-        is_done = self._exhausted or timing.instructions >= quota_end
-        for step_index in range(count):
-            timer_enter(PHASE_TRACE_GEN)
-            try:
-                gap, kind, address = trace_next()
-            except StopIteration:
-                timer_exit()
-                self._exhausted = True
-                self._finish()
-                return step_index + 1, transitioned or not is_done, True
-            timer_exit()
             instructions = timing.instructions
             recording = warmup <= instructions < quota_end
             level = access(core_id, address, kind, record_stats=recording)

@@ -46,6 +46,7 @@ from ..cache.replacement.lru import LRUPolicy
 from ..config import CacheConfig, HierarchyConfig
 from ..errors import SimulationError
 from ..hierarchy.levels import CoreCaches
+from ..perf.phase import PHASE_L1_ACCESS, PHASE_TRACE_GEN, PhaseTimer
 from ..workloads.store import StoredStream
 from ..workloads.trace import KIND_CODES
 
@@ -367,11 +368,16 @@ class L1Filter:
         #: are counted by the stream).
         self.nbytes = 0
 
-    def chunk(self, index: int) -> FilterChunk:
-        """Chunk ``index``, building it (and any before it) on demand."""
+    def chunk(self, index: int, timer: Optional[PhaseTimer] = None) -> FilterChunk:
+        """Chunk ``index``, building it (and any before it) on demand.
+
+        A build charges ``timer``, if given, once per chunk: drawing the
+        stream's chunk to ``trace_gen``, driving the L1s to
+        ``l1_access``.
+        """
         chunks = self.chunks
         while len(chunks) <= index:
-            self._build_chunk()
+            self._build_chunk(timer)
         return chunks[index]
 
     def restore(self, core: CoreCaches, index: int, offset: int) -> None:
@@ -387,8 +393,12 @@ class L1Filter:
         apply_state(core.l1i, state_i)
         apply_state(core.l1d, state_d)
 
-    def _build_chunk(self) -> None:
+    def _build_chunk(self, timer: Optional[PhaseTimer]) -> None:
+        if timer is not None:
+            timer.enter(PHASE_TRACE_GEN)
         records = self._stream().chunk(len(self.chunks))
+        if timer is not None:
+            timer.switch(PHASE_L1_ACCESS)
         started = time.perf_counter()
         gaps, kind_codes, addresses = records
         chunk = FilterChunk()
@@ -414,6 +424,8 @@ class L1Filter:
         self.chunks.append(chunk)
         self.nbytes += chunk.nbytes
         self.build_s += time.perf_counter() - started
+        if timer is not None:
+            timer.exit()
 
 
 def l1_filter(stream: StoredStream, config: HierarchyConfig) -> L1Filter:

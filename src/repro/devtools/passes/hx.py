@@ -46,8 +46,6 @@ DEFAULT_HOT_SUFFIXES = (
     "Cache._make_lru_access",
     "SimulatedCore.step_burst",
     "SimulatedCore._step_burst_plain",
-    "SimulatedCore._step_burst_timer_inline",
-    "SimulatedCore._step_burst_timer_plain",
     "SimulatedCore._step_burst_stripped",
     "SimulatedCore._step_burst_stripped_records",
     "SimulatedCore._hit_run",

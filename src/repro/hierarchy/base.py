@@ -134,9 +134,9 @@ class BaseHierarchy:
         #: installs one, so untraced hook sites pay one ``is None`` test.
         self.tracer: Optional["Tracer"] = None
         #: host phase timer (see :mod:`repro.perf.phase`); same
-        #: discipline as the tracer — None keeps the demand path on a
-        #: couple of ``is None`` tests per access and must never
-        #: influence simulated statistics.
+        #: discipline as the tracer — None keeps the L1-miss path on a
+        #: couple of ``is None`` tests per miss (L1 hits never test it)
+        #: and must never influence simulated statistics.
         self.phase_timer = None
         #: approximate global cycle clock for event timestamps, advanced
         #: by the CPU step hook only while telemetry is active.
@@ -207,11 +207,6 @@ class BaseHierarchy:
         sanitizer = self.sanitizer
         if sanitizer is not None:
             sanitizer.on_access()
-        timer = self.phase_timer
-        if timer is not None:
-            # The l1_access phase covers the core-cache (L1 + L2)
-            # probe; the LLC section re-enters as llc_access below.
-            timer.enter(PHASE_L1_ACCESS)
         line_addr = address >> self.line_shift
         core = self.cores[core_id]
         stats = self.core_stats[core_id] if record_stats else None
@@ -229,8 +224,6 @@ class BaseHierarchy:
             hit_hook = self._tla_hit_hook
             if hit_hook is not None:
                 hit_hook(core_id, "il1" if is_ifetch else "dl1", line_addr)
-            if timer is not None:
-                timer.exit()
             return HIT_L1
         if stats is not None:
             if is_ifetch:
@@ -253,10 +246,14 @@ class BaseHierarchy:
         Split out of :meth:`access` so the CPU's burst loop can probe
         the L1 inline (the hot common case) and only pay a hierarchy
         call on L1 misses.  The caller has already counted the L1
-        access and miss; the phase timer, if any, is still inside the
-        ``l1_access`` phase.
+        access and miss.  Phase timing starts here, once per L1 miss:
+        ``l1_access`` covers the L2 probe and core-cache fills,
+        ``llc_access`` the LLC section (L1 hits stay in the caller's
+        phase).
         """
         timer = self.phase_timer
+        if timer is not None:
+            timer.enter(PHASE_L1_ACCESS)
 
         # L2
         if stats is not None:
@@ -274,8 +271,7 @@ class BaseHierarchy:
 
         # LLC
         if timer is not None:
-            timer.exit()
-            timer.enter(PHASE_LLC_ACCESS)
+            timer.switch(PHASE_LLC_ACCESS)
         self.traffic.record(_LLC_REQUEST)
         if stats is not None:
             stats.llc_accesses += 1

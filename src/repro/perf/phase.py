@@ -23,15 +23,27 @@ The disabled cost discipline mirrors the tracer:
   :meth:`enter`/:meth:`exit` on the first branch, so code handed a
   timer unconditionally pays only one attribute test per hook.
 
+The enabled cost is bounded by timing at miss and chunk grain, never
+per trace record: the hierarchy brackets each L1 miss's path
+(``l1_access`` for the L2 probe, then ``llc_access``,
+``replacement``, ``back_invalidate``), trace sources charge
+``trace_gen`` once per generated chunk and L1 filters charge their
+build once per chunk.  L1 hits and the election loop stay inside
+``sim_loop``.  Chunk sources have no handle on the simulator, so a run
+publishes its timer for the duration of the run (:func:`running`,
+:func:`running_timer`).
+
 Only ``time.perf_counter`` is read (pure elapsed time, lint rule CS3);
 an injectable clock keeps the unit tests deterministic.
 """
 
 from __future__ import annotations
 
+import contextlib
+import threading
 import time
 from collections import defaultdict
-from typing import Callable, Dict, Iterable, List, Mapping, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional
 
 from ..errors import SimulationError
 
@@ -182,6 +194,28 @@ class PhaseTimer:
             f"<PhaseTimer {state} phases={len(self.totals)} "
             f"total={self.measured_total():.3f}s>"
         )
+
+
+_running = threading.local()
+
+
+def running_timer() -> Optional[PhaseTimer]:
+    """The enabled timer of the simulation running on this thread, if any."""
+    return getattr(_running, "timer", None)
+
+
+@contextlib.contextmanager
+def running(timer: Optional[PhaseTimer]) -> Iterator[None]:
+    """Publish ``timer`` to this thread's chunk sources for the block.
+
+    A disabled timer publishes None, so the sources stay untimed.
+    """
+    outer = running_timer()
+    _running.timer = timer if timer is not None and timer.enabled else None
+    try:
+        yield
+    finally:
+        _running.timer = outer
 
 
 def merge_phase_reports(

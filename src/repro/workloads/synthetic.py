@@ -223,7 +223,8 @@ def mixture_chunks(
     zero_gaps = _np.zeros(batch, dtype=np_int64)
     zero_gaps.flags.writeable = False
 
-    while True:
+    def next_chunk() -> Chunk:
+        nonlocal code_cursor, burst_address, burst_left
         if exp_mean > 0:
             gaps = rng.exponential(exp_mean, batch).astype(np_int64)
         else:
@@ -326,7 +327,14 @@ def mixture_chunks(
             addresses[data_pos] = data_addresses
 
         # -- pass 3: kind codes (indices into KIND_CODES) ------------------
-        yield gaps, np_where(is_ifetch, 2, u_write < p_write), addresses
+        return gaps, np_where(is_ifetch, 2, u_write < p_write), addresses
+
+    # One batch per call: its temporaries die when next_chunk()
+    # returns, so a suspended generator pins no arrays, not even the
+    # chunk it last yielded (stored streams keep their generators
+    # alive).
+    while True:
+        yield next_chunk()
 
 
 # -- simple single-pattern generators (tests, examples, figure 3) -------------

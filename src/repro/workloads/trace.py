@@ -21,7 +21,9 @@ Synthetic generators produce records in *column chunks*: a
 ``(gaps, kind_codes, addresses)`` triple of equal-length integer numpy
 arrays, kind codes indexing :data:`KIND_CODES`.
 :func:`records_from_chunks` turns a chunk stream into plain triples
-with C-level iteration only (no per-record bytecode).
+with C-level iteration only (no per-record bytecode); producing each
+chunk's records is charged to the running simulation's ``trace_gen``
+phase, if it times phases (:func:`repro.perf.phase.running_timer`).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from typing import Any, Iterable, Iterator, List, NamedTuple, Tuple, Union
 
 from ..access import AccessType
 from ..errors import TraceError
+from ..perf.phase import PHASE_TRACE_GEN, running_timer
 
 
 class TraceRecord(NamedTuple):
@@ -64,9 +67,26 @@ def _chunk_records(chunk: Chunk) -> Iterator[Record]:
     return zip(gaps.tolist(), map(_kind_of, kind_codes.tolist()), addresses.tolist())
 
 
+def _timed_chunk_records(chunks: Iterator[Chunk]) -> Iterator[Iterator[Record]]:
+    """Each chunk's records, drawing and converting the chunk inside
+    the running timer's ``trace_gen`` phase (one bracket per chunk)."""
+    while True:
+        timer = running_timer()
+        if timer is not None:
+            timer.enter(PHASE_TRACE_GEN)
+        try:
+            records = _chunk_records(next(chunks))
+        except StopIteration:
+            return
+        finally:
+            if timer is not None:
+                timer.exit()
+        yield records
+
+
 def records_from_chunks(chunks: Iterable[Chunk]) -> Iterator[Record]:
     """Flatten a chunk stream into plain triples (the simulator path)."""
-    return itertools.chain.from_iterable(map(_chunk_records, chunks))
+    return itertools.chain.from_iterable(_timed_chunk_records(iter(chunks)))
 
 
 def take(trace: Iterable[TraceRecord], count: int) -> List[TraceRecord]:

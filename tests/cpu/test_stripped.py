@@ -11,6 +11,8 @@ models whose cycle sums do or do not stay exact.  TLH runs add the
 hints: a stripped core sends each run of L1 hits' hints at once, and
 the LLC's replacement state, the traffic counts and the policy's
 sampling counter and hint counts must come out as the per-hit hook's.
+A stripped run under an enabled phase timer must still strip, match,
+and have its phases cover its wall time.
 """
 
 import dataclasses
@@ -34,9 +36,10 @@ from repro.cpu import CMPSimulator, SimulatedCore
 from repro.core.tlh import TemporalLocalityHints
 from repro.cpu import l1filter
 from repro.errors import SimulationError
-from repro.experiments.runner import ExperimentSettings, build_job
+from repro.experiments.runner import ExperimentSettings, Runner, build_job
 from repro.orchestrate import Orchestrator, ResultCache
 from repro.orchestrate.job import execute_job, job_key
+from repro.perf import PhaseTimer
 from repro.workloads import WorkloadMix, core_address_offset
 from repro.workloads import store
 from repro.workloads.store import StoredStream, retaining
@@ -144,31 +147,37 @@ def observe(simulator, result):
     }
 
 
-def simulate(config, streams, stripped):
+def simulate(config, streams, stripped, timer=None):
     simulator = CMPSimulator(
         config,
         [stream.replay() for stream in streams],
         streams=streams if stripped else None,
+        phase_timer=timer,
     )
     result = simulator.run()
     return simulator, result
 
 
-def compare(config, streams):
+def compare(config, streams, timed=False):
     """Run stripped and scalar; assert identical; return the stripped host.
 
-    A run the scalar loop cannot finish (one record jumping over a
-    whole measurement window leaves no quota cycles) must fail the same
-    way stripped; the host digest is then None.
+    With ``timed`` the stripped run carries an enabled phase timer,
+    whose phases must cover at least 95 % of the run's wall time.  A
+    run the scalar loop cannot finish (one record jumping over a whole
+    measurement window leaves no quota cycles) must fail the same way
+    stripped; the host digest is then None.
     """
+    timer = PhaseTimer() if timed else None
     try:
         scalar = observe(*simulate(config, streams, stripped=False))
     except SimulationError as error:
         with pytest.raises(SimulationError, match=str(error)):
-            simulate(config, streams, stripped=True)
+            simulate(config, streams, stripped=True, timer=timer)
         return None
-    simulator, result = simulate(config, streams, stripped=True)
+    simulator, result = simulate(config, streams, stripped=True, timer=timer)
     assert observe(simulator, result) == scalar
+    if timed:
+        assert timer.measured_total() >= 0.95 * result.host["wall_s"]
     return result.host
 
 
@@ -189,6 +198,7 @@ class TestOracle:
         quota=st.integers(1, 9_000),
         warmup=st.integers(0, 4_000),
         base_cpi=st.sampled_from([0.25, 0.5, 1.0, 0.3125, 0.1, 1 / 3]),
+        timed=st.booleans(),
     )
     @settings(
         max_examples=60,
@@ -196,7 +206,7 @@ class TestOracle:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_stripped_equals_scalar(
-        self, profiles, seed, policy, llc_bytes, l1_ways, quota, warmup, base_cpi
+        self, profiles, seed, policy, llc_bytes, l1_ways, quota, warmup, base_cpi, timed
     ):
         mode, tla = policy
         config = SimConfig(
@@ -205,7 +215,7 @@ class TestOracle:
             instruction_quota=quota,
             warmup_instructions=warmup,
         )
-        host = compare(config, streams_for(profiles, seed))
+        host = compare(config, streams_for(profiles, seed), timed)
         assert host is None or host["stripped_records"] > 0
 
     @given(
@@ -219,6 +229,7 @@ class TestOracle:
         quota=st.integers(1, 9_000),
         warmup=st.integers(0, 4_000),
         base_cpi=st.sampled_from([0.25, 0.5, 1.0, 0.1]),
+        timed=st.booleans(),
     )
     @settings(
         max_examples=60,
@@ -237,6 +248,7 @@ class TestOracle:
         quota,
         warmup,
         base_cpi,
+        timed,
     ):
         """Batched hit hints against the per-hit hook: results, traffic,
         hint counts, LLC arrays and replacement state, promotions."""
@@ -246,7 +258,7 @@ class TestOracle:
             instruction_quota=quota,
             warmup_instructions=warmup,
         )
-        host = compare(config, streams_for(profiles, seed))
+        host = compare(config, streams_for(profiles, seed), timed)
         assert host is None or host["stripped_records"] > 0
 
     def test_tlh_hints_go_out_per_run(self, monkeypatch):
@@ -466,6 +478,35 @@ class TestJobs:
         first, _, scalar = stripped_and_scalar(job)
         assert first.host["stripped_records"] == 0
         assert cache_bytes(first, job) == cache_bytes(scalar, job)
+
+
+def test_host_phases_sweep_strips_with_identical_cache(tmp_path):
+    """A phase-timed serial sweep over one pair's six Fig. 9 machines
+    strips every job and writes an untimed sweep's cache bytes."""
+    requests = [
+        dict(mix=PAIR, mode=mode, tla=tla)
+        for mode, tla in CONFIGS + (("inclusive", "tlh-l1"),)
+    ]
+    entries = {}
+    for timed in (False, True):
+        runner = Runner(
+            ExperimentSettings(
+                scale=SCALE,
+                quota=3_000,
+                warmup=1_000,
+                cache_dir=str(tmp_path / f"timed-{timed}"),
+                host_phases=timed,
+            )
+        )
+        for summary in runner.run_many(requests, jobs=1):
+            assert summary.host["stripped_records"] > 0
+            assert ("phases" in summary.host) is timed
+        entries[timed] = {
+            path.name: path.read_bytes()
+            for path in runner.cache.directory.glob("*.json")
+        }
+    assert len(entries[True]) == len(requests)
+    assert entries[True] == entries[False]
 
 
 @pytest.fixture

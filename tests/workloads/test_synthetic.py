@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from repro.workloads.synthetic import (
     RegionSpec,
     interleaved,
     looping_trace,
+    mixture_chunks,
     mixture_trace,
     random_trace,
     strided_trace,
@@ -190,3 +192,19 @@ def test_import_without_numpy_fails_loudly():
     )
     assert out.returncode == 3, out.stdout + out.stderr
     assert "numpy" in out.stdout
+
+
+@pytest.mark.parametrize("burst", [1, 3])
+def test_suspended_generator_pins_no_yielded_chunk(burst):
+    """Once the consumer drops a chunk its arrays die, though the
+    generator stays suspended (a stored stream keeps it alive)."""
+    chunks = mixture_chunks(
+        simple_profile(regions=(RegionSpec(lines=32, weight=1.0, burst=burst),)),
+        7,
+        0,
+    )
+    for _ in range(2):
+        gaps, kind_codes, addresses = next(chunks)
+        refs = [weakref.ref(column) for column in (gaps, kind_codes, addresses)]
+        del gaps, kind_codes, addresses
+        assert [ref() for ref in refs] == [None, None, None]
